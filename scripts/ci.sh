@@ -17,8 +17,12 @@
 #                    models must verify exhaustively, planted faults and
 #                    spec mutations must produce counterexamples, and
 #                    docs/SPEC_CATALOG.md must match the generated tables
+#   ci.sh bench      benchmark smoke: one short steady_oracle run of
+#                    perfbench/run.py, which must report "correct": true
+#                    (the oracle exactly-once audit and the fingerprint
+#                    checks passed)
 #   ci.sh all        every stage above (lint, tier1, checked, chaos, tidy,
-#                    analysis), in that order
+#                    analysis, bench), in that order
 #
 # Each stage is also usable locally; stages never reuse another stage's
 # build directory, so incremental local builds stay intact.
@@ -26,7 +30,7 @@
 # Every stage exits with a stage-distinct non-zero code on failure and
 # prints a one-line `STAGE <name> FAILED` trailer, so a wrapper (or a log
 # scrape) can tell which gate broke without parsing the whole transcript:
-#   lint=10  tier1=11  checked=12  chaos=13  tidy=14  analysis=15
+#   lint=10  tier1=11  checked=12  chaos=13  tidy=14  analysis=15  bench=16
 set -euEo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,9 +58,10 @@ stage_lint() {
 # Robustness gate: the chaos schedules (crash + partition + gray + storm
 # faults), the split/merge torture suite, the migration-strategy differential
 # and torture suites, the reliable control channel, the adversarial network
-# tests, and the interval-index determinism tests must pass with every
-# invariant live, and stay clean under ASan and TSan.
-CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg'
+# tests, the interval-index determinism tests, and the match-oracle tests
+# (its memo is shared across pool threads) must pass with every invariant
+# live, and stay clean under ASan and TSan.
+CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle'
 
 stage_chaos() {
   local dir=${BUILD_DIR:-build-ci-chaos}
@@ -133,6 +138,21 @@ stage_analysis() {
   fi
 }
 
+stage_bench() {
+  # perfbench builds into its own .bench_build/ directory. Its last stdout
+  # line is the JSON result.
+  local out rc=0
+  out="$(python3 perfbench/run.py --workload steady_oracle --seed 1 \
+    --seconds 1 --trace 0)" || rc=$?
+  local result="${out##*$'\n'}"
+  echo "$result"
+  if [ "$rc" -ne 0 ] || [[ "$result" != *'"correct": true'* ]]; then
+    echo "ci.sh: perfbench steady_oracle did not report" \
+         "\"correct\": true (rc=$rc)" >&2
+    return 1
+  fi
+}
+
 stage_exit_code() {
   case "$1" in
     lint)     echo 10 ;;
@@ -141,6 +161,7 @@ stage_exit_code() {
     chaos)    echo 13 ;;
     tidy)     echo 14 ;;
     analysis) echo 15 ;;
+    bench)    echo 16 ;;
   esac
 }
 
@@ -149,14 +170,14 @@ case "$stage" in
   all)
     # Each stage runs as a child invocation so its ERR trap and distinct
     # exit code apply unchanged; the first failure stops the pipeline.
-    for s in lint tier1 checked chaos tidy analysis; do
+    for s in lint tier1 checked chaos tidy analysis bench; do
       bash "$0" "$s" || exit $?
     done
     exit 0
     ;;
-  lint|tier1|checked|chaos|tidy|analysis) ;;
+  lint|tier1|checked|chaos|tidy|analysis|bench) ;;
   *)
-    echo "usage: $0 [tier1|checked|lint|tidy|chaos|analysis|all]" >&2
+    echo "usage: $0 [tier1|checked|lint|tidy|chaos|analysis|bench|all]" >&2
     exit 2
     ;;
 esac

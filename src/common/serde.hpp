@@ -88,7 +88,8 @@ class BinaryReader {
 
   std::vector<double> read_f64_vector() {
     const auto n = read_u64();
-    check(n * sizeof(double));
+    // Divide instead of multiplying: n * sizeof(double) wraps for hostile n.
+    if (n > remaining() / sizeof(double)) truncated();
     std::vector<double> v(n);
     std::memcpy(v.data(), data_.data() + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
@@ -99,10 +100,13 @@ class BinaryReader {
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  // Compares against remaining(): pos_ + n wraps for hostile length
+  // prefixes near 2^64.
   void check(std::uint64_t n) const {
-    if (pos_ + n > data_.size()) {
-      throw std::out_of_range{"BinaryReader: truncated input"};
-    }
+    if (n > remaining()) truncated();
+  }
+  [[noreturn]] static void truncated() {
+    throw std::out_of_range{"BinaryReader: truncated input"};
   }
 
   template <typename T>

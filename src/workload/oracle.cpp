@@ -1,15 +1,16 @@
 #include "workload/oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
-
-#include "common/det.hpp"
 
 namespace esh::workload {
 
 namespace {
 constexpr std::size_t kOracleCacheCapacity = 2048;
+// Sampler scratch, one per thread: the oracle is shared across pool threads.
+thread_local std::vector<std::uint64_t> sample_bits;
 }  // namespace
 
 MatchOracle::MatchOracle(OracleParams params) : params_(params) {
@@ -38,9 +39,10 @@ MatchOracle::MatchOracle(OracleParams params) : params_(params) {
   }
 }
 
-std::vector<std::uint64_t> MatchOracle::matches(PublicationId pub) const {
+template <typename Emit>
+void MatchOracle::sample(PublicationId pub, Emit&& emit) const {
   Rng rng{params_.seed ^ (pub.value() * 0x9e3779b97f4a7c15ULL + 11)};
-  const auto n = params_.total_subscriptions;
+  const std::uint64_t n = params_.total_subscriptions;
   const double expected = static_cast<double>(n) * params_.matching_rate;
   // k ~ Binomial(n, p), approximated by a clamped normal (n*p >> 1 for the
   // workloads of interest).
@@ -49,17 +51,25 @@ std::vector<std::uint64_t> MatchOracle::matches(PublicationId pub) const {
   k_real = std::clamp(k_real, 0.0, static_cast<double>(n));
   const auto k = static_cast<std::size_t>(std::lround(k_real));
 
-  std::vector<std::uint64_t> chosen;
-  chosen.reserve(k);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(k * 2);
-  while (chosen.size() < k) {
+  // Without-replacement sampling by rejection: a bitmap over [0, n) marks
+  // the indices drawn so far. Reading the set bits back in word order
+  // yields the sample already sorted.
+  std::vector<std::uint64_t>& bits = sample_bits;
+  bits.assign((n + 63) / 64, 0);
+  // Rng::next_below's rejection threshold, hoisted out of the draw loop;
+  // the draws are the ones next_below(n) would make.
+  const std::uint64_t threshold = -n % n;
+  for (std::size_t chosen = 0; chosen < k;) {
     // Uniform popularity, or Zipf-weighted inversion sampling: the match
     // count stays Binomial(n, p) either way, only which indices carry the
-    // matches skews (rejection handles without-replacement duplicates).
+    // matches skews.
     std::uint64_t idx;
     if (zipf_cum_.empty()) {
-      idx = rng.next_below(n);
+      std::uint64_t r;
+      do {
+        r = rng.next_u64();
+      } while (r < threshold);
+      idx = r % n;
     } else {
       const double r = rng.next_double() * zipf_cum_.back();
       idx = static_cast<std::uint64_t>(std::distance(
@@ -67,9 +77,23 @@ std::vector<std::uint64_t> MatchOracle::matches(PublicationId pub) const {
           std::lower_bound(zipf_cum_.begin(), zipf_cum_.end(), r)));
       if (idx >= n) idx = n - 1;  // floating-point edge of the last bucket
     }
-    if (seen.insert(idx).second) chosen.push_back(idx);
+    std::uint64_t& word = bits[idx / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++chosen;
+    }
   }
-  std::sort(chosen.begin(), chosen.end());
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      emit(w * 64 + static_cast<std::uint64_t>(std::countr_zero(word)));
+    }
+  }
+}
+
+std::vector<std::uint64_t> MatchOracle::matches(PublicationId pub) const {
+  std::vector<std::uint64_t> chosen;
+  sample(pub, [&](std::uint64_t index) { chosen.push_back(index); });
   return chosen;
 }
 
@@ -109,18 +133,32 @@ ChurnStream::Event ChurnStream::next() {
 
 std::shared_ptr<const MatchOracle::Partition> MatchOracle::partitioned_matches(
     PublicationId pub) const {
-  if (auto it = cache_.find(pub); it != cache_.end()) return it->second;
-  auto partition = std::make_shared<Partition>(params_.m_slices);
-  for (std::uint64_t index : matches(pub)) {
+  {
+    const std::lock_guard lock{cache_mutex_};
+    if (auto it = cache_.find(pub); it != cache_.end()) return it->second;
+  }
+  const std::size_t m = params_.m_slices;
+  auto partition = std::make_shared<Partition>(m);
+  // Reserve ~1.5x each slice's expected share of the expected match count.
+  const auto per_slice = static_cast<std::size_t>(
+      1.5 * static_cast<double>(params_.total_subscriptions) *
+      params_.matching_rate / static_cast<double>(m));
+  for (auto& slice : *partition) slice.reserve(per_slice);
+  sample(pub, [&](std::uint64_t index) {
     (*partition)[slice_of(index)].push_back(index);
+  });
+
+  const std::lock_guard lock{cache_mutex_};
+  const auto [it, inserted] = cache_.emplace(pub, std::move(partition));
+  std::shared_ptr<const Partition> result = it->second;
+  if (inserted) {
+    cache_order_.push_back(pub);
+    while (cache_order_.size() > kOracleCacheCapacity) {
+      cache_.erase(cache_order_.front());
+      cache_order_.pop_front();
+    }
   }
-  cache_.emplace(pub, partition);
-  cache_order_.push_back(pub);
-  while (cache_order_.size() > kOracleCacheCapacity) {
-    cache_.erase(cache_order_.front());
-    cache_order_.pop_front();
-  }
-  return partition;
+  return result;
 }
 
 OracleMatcher::OracleMatcher(std::shared_ptr<const MatchOracle> oracle,
@@ -132,10 +170,10 @@ OracleMatcher::OracleMatcher(std::shared_ptr<const MatchOracle> oracle,
 
 void OracleMatcher::add(const filter::AnySubscription& sub) {
   const auto& enc = std::get<filter::EncryptedSubscription>(sub);
-  subs_[enc.id] = enc.subscriber;
+  subs_.insert_or_assign(enc.id, enc.subscriber);
 }
 
-bool OracleMatcher::remove(SubscriptionId id) { return subs_.erase(id) > 0; }
+bool OracleMatcher::remove(SubscriptionId id) { return subs_.erase(id); }
 
 filter::MatchOutcome OracleMatcher::match(const filter::AnyPublication& pub) {
   filter::MatchOutcome out;
@@ -145,8 +183,9 @@ filter::MatchOutcome OracleMatcher::match(const filter::AnyPublication& pub) {
   // storage, mid-migration or mid-split the matcher stays truthful.
   const auto scan = [&](const std::vector<std::uint64_t>& indices) {
     for (std::uint64_t index : indices) {
-      auto it = subs_.find(oracle_->sub_id(index));
-      if (it != subs_.end()) out.subscribers.push_back(it->second);
+      if (const SubscriberId* s = subs_.find(oracle_->sub_id(index))) {
+        out.subscribers.push_back(*s);
+      }
     }
   };
   if (slice_index_ < oracle_->params().m_slices) {
@@ -174,68 +213,61 @@ std::size_t OracleMatcher::state_bytes() const {
          cost_.subscription_bytes(oracle_->params().dimensions);
 }
 
-void OracleMatcher::serialize_state(BinaryWriter& w) const {
-  // The blob must have the encrypted state's size: migrations transfer the
-  // real ciphertexts in the paper's system. Pad each record accordingly.
-  const std::size_t record =
-      cost_.subscription_bytes(oracle_->params().dimensions);
+namespace {
+
+// One record per entry, padded to the encrypted subscription's size:
+// migrations transfer the real ciphertexts in the paper's system.
+void write_records(BinaryWriter& w,
+                   const std::vector<SliceStore::Entry>& entries,
+                   std::size_t record) {
   const std::size_t payload = 16;  // id + subscriber
-  w.write_u64(subs_.size());
-  w.write_u64(record);
   const std::string padding(record > payload ? record - payload : 0, '\0');
-  // Sorted: checkpoint bytes must not depend on hash-table layout.
-  for (const SubscriptionId id : sorted_keys(subs_)) {
+  w.write_u64(entries.size());
+  w.write_u64(record);
+  for (const auto& [id, subscriber] : entries) {
     w.write_id(id);
-    w.write_id(subs_.at(id));
+    w.write_id(subscriber);
     w.write_string(padding);
   }
+}
+
+void read_records(BinaryReader& r, SliceStore& subs) {
+  const auto n = r.read_u64();
+  (void)r.read_u64();  // record size
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto id = r.read_id<SubscriptionTag>();
+    const auto subscriber = r.read_id<SubscriberTag>();
+    (void)r.read_string();  // padding
+    subs.insert_or_assign(id, subscriber);
+  }
+}
+
+}  // namespace
+
+void OracleMatcher::serialize_state(BinaryWriter& w) const {
+  write_records(w, subs_.sorted_entries(),
+                cost_.subscription_bytes(oracle_->params().dimensions));
 }
 
 std::size_t OracleMatcher::split_state(const KeyCoverage& cov,
                                        BinaryWriter& w) {
-  std::vector<SubscriptionId> moving;
-  // Sorted: split bytes must not depend on hash-table layout.
-  for (const SubscriptionId id : sorted_keys(subs_)) {
-    if (cov.covers(id.value())) moving.push_back(id);
-  }
-  const std::size_t record =
-      cost_.subscription_bytes(oracle_->params().dimensions);
-  const std::size_t payload = 16;  // id + subscriber
-  const std::string padding(record > payload ? record - payload : 0, '\0');
-  w.write_u64(moving.size());
-  w.write_u64(record);
-  for (const SubscriptionId id : moving) {
-    w.write_id(id);
-    w.write_id(subs_.at(id));
-    w.write_string(padding);
-  }
+  std::vector<SliceStore::Entry> moving = subs_.sorted_entries();
+  std::erase_if(moving, [&](const SliceStore::Entry& e) {
+    return !cov.covers(e.first.value());
+  });
+  write_records(w, moving,
+                cost_.subscription_bytes(oracle_->params().dimensions));
   const std::size_t serialized = moving.size();
   if (testing_keep_one_on_split && !moving.empty()) moving.pop_back();
-  for (const SubscriptionId id : moving) subs_.erase(id);
+  for (const auto& entry : moving) subs_.erase(entry.first);
   return serialized;
 }
 
-void OracleMatcher::absorb_state(BinaryReader& r) {
-  const auto n = r.read_u64();
-  (void)r.read_u64();  // record size
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto id = r.read_id<SubscriptionTag>();
-    const auto subscriber = r.read_id<SubscriberTag>();
-    (void)r.read_string();  // padding
-    subs_[id] = subscriber;
-  }
-}
+void OracleMatcher::absorb_state(BinaryReader& r) { read_records(r, subs_); }
 
 void OracleMatcher::restore_state(BinaryReader& r) {
   subs_.clear();
-  const auto n = r.read_u64();
-  (void)r.read_u64();  // record size
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto id = r.read_id<SubscriptionTag>();
-    const auto subscriber = r.read_id<SubscriberTag>();
-    (void)r.read_string();  // padding
-    subs_[id] = subscriber;
-  }
+  read_records(r, subs_);
 }
 
 std::unique_ptr<filter::Matcher> OracleMatcher::clone_empty() const {

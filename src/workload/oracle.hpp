@@ -20,14 +20,15 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/cost_model.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "filter/matcher.hpp"
+#include "workload/slice_store.hpp"
 
 namespace esh::workload {
 
@@ -94,23 +95,32 @@ class MatchOracle {
     return sub_id(index).value() % params_.m_slices;
   }
 
-  // Match set of one publication, partitioned by M slice; memoized so the
-  // m_slices queries for the same publication sample only once.
+  // Match set of one publication, partitioned by M slice, each slice's
+  // indices ascending; memoized so the m_slices queries for the same
+  // publication sample only once. Safe to call from several threads.
   using Partition = std::vector<std::vector<std::uint64_t>>;
   [[nodiscard]] std::shared_ptr<const Partition> partitioned_matches(
       PublicationId pub) const;
 
-  // Flat ground-truth match set (sampled subscription indices).
+  // Flat ground-truth match set (sampled subscription indices, ascending).
   [[nodiscard]] std::vector<std::uint64_t> matches(PublicationId pub) const;
 
   [[nodiscard]] const OracleParams& params() const { return params_; }
 
  private:
+  // Samples the match set of `pub` and calls emit(index) for each sampled
+  // index in ascending order.
+  template <typename Emit>
+  void sample(PublicationId pub, Emit&& emit) const;
+
   OracleParams params_;
   // Cumulative Zipf weights over [0, total_subscriptions); empty when
   // zipf_exponent == 0 (uniform sampling, the historical path).
   std::vector<double> zipf_cum_;
-  // FIFO memoization (single-threaded simulation).
+  // Bounded FIFO memo of partitioned_matches. Sampling runs outside the
+  // lock; when two threads sample the same publication, the first insert
+  // wins (both results are equal).
+  mutable std::mutex cache_mutex_;
   mutable std::unordered_map<PublicationId, std::shared_ptr<const Partition>>
       cache_;
   mutable std::deque<PublicationId> cache_order_;
@@ -184,7 +194,7 @@ class OracleMatcher final : public filter::Matcher {
   std::shared_ptr<const MatchOracle> oracle_;
   cluster::CostModel cost_;
   std::size_t slice_index_;
-  std::unordered_map<SubscriptionId, SubscriberId> subs_;
+  SliceStore subs_;
 };
 
 // Generates mock-encrypted events: payloads have exactly the sizes of real

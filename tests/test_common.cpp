@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <unordered_set>
 
@@ -239,6 +240,32 @@ TEST(Serde, TruncatedInputThrows) {
   w.write_u32(1);
   BinaryReader r{w.buffer()};
   EXPECT_THROW(r.read_u64(), std::out_of_range);
+}
+
+// A length prefix near 2^64 must not wrap the bounds check into an
+// allocation of that size (std::length_error / std::bad_alloc).
+void expect_truncated(const std::function<void()>& read) {
+  try {
+    read();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "BinaryReader: truncated input");
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "wrong exception: " << e.what();
+  }
+}
+
+TEST(Serde, HugeLengthPrefixIsTruncatedInput) {
+  BinaryWriter w;
+  w.write_u64(UINT64_MAX);
+  w.write_string("payload");
+  expect_truncated([&] { BinaryReader{w.buffer()}.read_string(); });
+  expect_truncated([&] { BinaryReader{w.buffer()}.read_f64_vector(); });
+  // The smallest count whose byte size wraps to a small number.
+  BinaryWriter wrap;
+  wrap.write_u64((UINT64_MAX / sizeof(double)) + 1);
+  wrap.write_f64(1.0);
+  expect_truncated([&] { BinaryReader{wrap.buffer()}.read_f64_vector(); });
 }
 
 TEST(Serde, SizeTracksWrites) {
