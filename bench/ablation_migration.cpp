@@ -54,9 +54,9 @@ void state_size_sweep() {
     const SliceId slice = bed.hub().slices_of("M")[0];
     const HostId dst = bed.worker_hosts()[0];  // an AP host
     std::optional<engine::MigrationReport> report;
-    bed.engine().migrate(slice, dst, [&](const engine::MigrationReport& r) {
-      report = r;
-    });
+    bed.engine().migrate(slice, dst,
+                         engine::MigrationStrategyKind::kBufferedReplay,
+                         [&](const engine::MigrationReport& r) { report = r; });
     bed.run_until([&] { return report.has_value(); }, seconds(120));
     bed.run_for(seconds(15));  // observe the recovery
     driver->stop();

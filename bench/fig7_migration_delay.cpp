@@ -55,14 +55,15 @@ int main(int argc, char** argv) {
           break;
         }
       }
-      bed.engine().migrate(slice, dst, [&markers, planned](
-                                            const engine::MigrationReport& r) {
-        markers.emplace_back(
-            r.completed,
-            std::string(planned.op) + ":" + std::to_string(planned.index) +
-                " done, total " +
-                format_double(to_millis(r.total_duration()), 0) + " ms");
-      });
+      bed.engine().migrate(
+          slice, dst, engine::MigrationStrategyKind::kBufferedReplay,
+          [&markers, planned](const engine::MigrationReport& r) {
+            markers.emplace_back(
+                r.completed,
+                std::string(planned.op) + ":" + std::to_string(planned.index) +
+                    " done, total " +
+                    format_double(to_millis(r.total_duration()), 0) + " ms");
+          });
       markers.emplace_back(planned.at, std::string("migrate ") + planned.op +
                                            ":" +
                                            std::to_string(planned.index));

@@ -56,9 +56,9 @@ RowStats run_migrations(harness::Testbed& bed, const std::string& op,
       dst = workers[rng.next_below(workers.size())];
     }
     std::optional<engine::MigrationReport> report;
-    bed.engine().migrate(slice, dst, [&](const engine::MigrationReport& r) {
-      report = r;
-    });
+    bed.engine().migrate(slice, dst,
+                         engine::MigrationStrategyKind::kBufferedReplay,
+                         [&](const engine::MigrationReport& r) { report = r; });
     const bool ok = bed.run_until([&] { return report.has_value(); },
                                   seconds(120));
     if (!ok) {

@@ -9,7 +9,8 @@
 #   ci.sh tidy       clang-tidy build (gate configured in .clang-tidy);
 #                    skipped with a notice when clang-tidy is not installed
 #   ci.sh chaos      fault-injection suites (chaos schedules, reliable
-#                    channel, adversarial network, recovery contracts)
+#                    channel, adversarial network, recovery contracts,
+#                    reconfiguration golden pin and request order)
 #                    under -DESH_CHECK_INVARIANTS=ON, then again under
 #                    ASan and TSan via scripts/run_sanitized.sh
 #   ci.sh analysis   bounded model checking of the migration/split/merge/
@@ -57,11 +58,12 @@ stage_lint() {
 
 # Robustness gate: the chaos schedules (crash + partition + gray + storm
 # faults), the split/merge torture suite, the migration-strategy differential
-# and torture suites, the reliable control channel, the adversarial network
+# and torture suites, the reconfiguration coordinator's golden pin and
+# request-order tests, the reliable control channel, the adversarial network
 # tests, the interval-index determinism tests, and the match-oracle tests
 # (its memo is shared across pool threads) must pass with every invariant
 # live, and stay clean under ASan and TSan.
-CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle'
+CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|Reconfig'
 
 stage_chaos() {
   local dir=${BUILD_DIR:-build-ci-chaos}

@@ -841,6 +841,7 @@ void Manager::drain_next_move() {
     return;
   }
   engine_.migrate(slice, dst,
+                  engine::MigrationStrategyKind::kBufferedReplay,
                   [this, slice, dst](const engine::MigrationReport& report) {
                     migrations_.push_back(report);
                     if (report.outcome ==

@@ -34,26 +34,6 @@ const char* to_string(MigrationStep step) {
   return "unknown";
 }
 
-bool migration_transition_legal(MigrationStep from, MigrationStep to) {
-  // Edge list (and the why of each edge) lives in the declarative table in
-  // src/analysis/protocol_spec.cpp — the same table the model checker and
-  // docs/SPEC_CATALOG.md are built from.
-  return analysis::migration_spec().legal(static_cast<std::size_t>(from),
-                                          static_cast<std::size_t>(to));
-}
-
-void assert_migration_transition([[maybe_unused]] MigrationId id,
-                                 [[maybe_unused]] SliceId slice,
-                                 [[maybe_unused]] MigrationStep from,
-                                 [[maybe_unused]] MigrationStep to) {
-  ESH_STATE_MACHINE_ASSERT(
-      "engine", "migration-step-legal", migration_transition_legal(from, to),
-      ::esh::contracts::Detail{}
-          .slice(slice)
-          .transition(to_string(from), to_string(to))
-          .note("migration " + std::to_string(id.value())));
-}
-
 void assert_migration_transition([[maybe_unused]] const MigrationStrategy&
                                      strategy,
                                  [[maybe_unused]] MigrationId id,
@@ -93,6 +73,15 @@ const char* to_string(TransitionKind kind) {
   switch (kind) {
     case TransitionKind::kSplit: return "split";
     case TransitionKind::kMerge: return "merge";
+  }
+  return "unknown";
+}
+
+const char* to_string(ReconfigKind kind) {
+  switch (kind) {
+    case ReconfigKind::kMigration: return "migration";
+    case ReconfigKind::kSplit: return "split";
+    case ReconfigKind::kMerge: return "merge";
   }
   return "unknown";
 }
@@ -157,9 +146,8 @@ Engine::Engine(sim::Simulator& simulator, net::Network& network,
     : simulator_(simulator),
       network_(network),
       config_(config),
-      worker_pool_(std::max(config.worker_threads, config.match_threads) > 1
-                       ? std::make_unique<ThreadPool>(std::max(
-                             config.worker_threads, config.match_threads))
+      worker_pool_(config.worker_threads > 1
+                       ? std::make_unique<ThreadPool>(config.worker_threads)
                        : nullptr),
       rng_(seed),
       manager_host_(manager_host) {
@@ -349,9 +337,9 @@ std::vector<SliceId> Engine::fail_host(HostId host) {
       // (handle_transition_host_failure re-drives it onto a replacement
       // host); keep it out of the generic recovery sweep so it is not
       // restored twice.
-      if (current_transition_ &&
-          current_transition_->report.kind == TransitionKind::kSplit &&
-          slice == current_transition_->report.child) {
+      if (const TransitionTask* t = current_transition();
+          t != nullptr && t->report.kind == TransitionKind::kSplit &&
+          slice == t->report.child) {
         continue;
       }
       lost.push_back(slice);
@@ -447,11 +435,20 @@ SliceId Engine::slice_id(std::string_view op, std::size_t slice_index) const {
 }
 
 KeyCoverage Engine::slice_coverage(SliceId slice) const {
+  const KeyCoverage* cov = routed_coverage(slice);
+  if (cov == nullptr) {
+    throw std::invalid_argument{"slice_coverage: slice not routed"};
+  }
+  return *cov;
+}
+
+const KeyCoverage* Engine::routed_coverage(SliceId slice) const {
+  if (!static_ || !static_->slice_infos.contains(slice)) return nullptr;
   const auto& op = static_->op_of(slice);
   for (std::size_t i = 0; i < op.slices.size(); ++i) {
-    if (op.slices[i] == slice) return op.coverages.at(i);
+    if (op.slices[i] == slice) return &op.coverages[i];
   }
-  throw std::invalid_argument{"slice_coverage: slice not routed"};
+  return nullptr;
 }
 
 StaticConfig::OperatorInfo& Engine::mutable_op_of(SliceId slice) {
@@ -492,11 +489,15 @@ void Engine::enable_probes(net::Endpoint target) {
   }
 }
 
-// ---- migration coordination --------------------------------------------------
+// ---- reconfiguration coordination -------------------------------------------
 
-void Engine::migrate(SliceId slice, HostId dst, MigrationCallback callback) {
-  migrate(slice, dst, MigrationStrategyKind::kBufferedReplay,
-          std::move(callback));
+ReconfigKind Engine::kind_of(const ReconfigTask& task) {
+  if (std::holds_alternative<MigrationTask>(task)) {
+    return ReconfigKind::kMigration;
+  }
+  return std::get<TransitionTask>(task).report.kind == TransitionKind::kSplit
+             ? ReconfigKind::kSplit
+             : ReconfigKind::kMerge;
 }
 
 void Engine::migrate(SliceId slice, HostId dst, MigrationStrategyKind strategy,
@@ -510,123 +511,147 @@ void Engine::migrate(SliceId slice, HostId dst, MigrationStrategyKind strategy,
   task.report.requested = simulator_.now();
   task.callback = std::move(callback);
   const auto dir_it = directory_.find(slice);
-  if (dir_it == directory_.end() || !host_runtimes_.contains(dst)) {
+  const bool valid =
+      dir_it != directory_.end() && host_runtimes_.contains(dst);
+  if (valid) task.report.src = dir_it->second.primary;
+  if (!settle_trivial_migration(task, valid)) enqueue(std::move(task));
+}
+
+void Engine::split_slice(SliceId parent, HostId dst,
+                         TransitionCallback callback) {
+  TransitionTask task;
+  task.report.id = MigrationId{next_migration_++};
+  task.report.kind = TransitionKind::kSplit;
+  task.report.parent = parent;
+  task.report.requested = simulator_.now();
+  task.callback = std::move(callback);
+  task.dst = dst;
+  enqueue(std::move(task));
+}
+
+void Engine::merge_slices(SliceId survivor, SliceId retiree,
+                          TransitionCallback callback) {
+  TransitionTask task;
+  task.report.id = MigrationId{next_migration_++};
+  task.report.kind = TransitionKind::kMerge;
+  task.report.parent = survivor;
+  task.report.child = retiree;
+  task.report.requested = simulator_.now();
+  task.callback = std::move(callback);
+  enqueue(std::move(task));
+}
+
+void Engine::enqueue(ReconfigTask task) {
+  queue_.push_back(std::move(task));
+  start_next();
+}
+
+bool Engine::settle_trivial_migration(MigrationTask& task, bool valid) {
+  if (valid && task.report.src != task.report.dst) return false;
+  if (valid) {
+    // Degenerate move onto the slice's own host: report it done.
+    task.report.frozen = task.report.activated = task.report.completed =
+        simulator_.now();
+  } else {
     // Invalid request: reject through the callback so callers learn the
     // outcome the same way they learn any other.
     task.report.outcome = MigrationOutcome::kRejected;
     task.report.completed = simulator_.now();
-    if (task.callback) task.callback(task.report);
-    return;
   }
-  task.report.src = dir_it->second.primary;
-  if (task.report.src == dst) {
-    // Degenerate migration: report immediately.
-    task.report.frozen = task.report.activated = task.report.completed =
-        simulator_.now();
-    if (task.callback) task.callback(task.report);
-    return;
-  }
-  migration_queue_.push_back(std::move(task));
-  start_next_migration();
+  if (task.callback) task.callback(task.report);
+  return true;
 }
 
-void Engine::start_next_migration() {
-  // One elastic operation of either family (migration or split/merge) runs
-  // at a time; migrations take priority when both are queued.
-  while (!current_migration_ && !current_transition_ &&
-         !migration_queue_.empty()) {
-    MigrationTask task = std::move(migration_queue_.front());
-    migration_queue_.pop_front();
-    // Cluster state may have changed while the request was queued: the
-    // slice may have moved, been lost to a crash, or the destination host
-    // may have died. Reject stale moves instead of wedging on them.
-    const auto dir_it = directory_.find(task.report.slice);
-    const HostId src =
-        dir_it == directory_.end() ? HostId{} : dir_it->second.primary;
-    const auto src_it = host_runtimes_.find(src);
-    const bool src_ok = src_it != host_runtimes_.end() &&
-                        src_it->second->has_slice(task.report.slice);
-    if (!src_ok || !host_runtimes_.contains(task.report.dst)) {
-      task.report.outcome = MigrationOutcome::kRejected;
-      task.report.completed = simulator_.now();
-      if (task.callback) task.callback(task.report);
-      continue;
+void Engine::start_next() {
+  while (!current_ && !queue_.empty()) {
+    ReconfigTask task = std::move(queue_.front());
+    queue_.pop_front();
+    // Cluster state may have changed while the request was queued: slices
+    // may have moved, split, merged or been lost to a crash, and hosts may
+    // have died. Reject stale requests instead of wedging on them.
+    if (auto* m = std::get_if<MigrationTask>(&task)) {
+      const auto dir_it = directory_.find(m->report.slice);
+      const HostId src =
+          dir_it == directory_.end() ? HostId{} : dir_it->second.primary;
+      const auto src_it = host_runtimes_.find(src);
+      const bool valid = src_it != host_runtimes_.end() &&
+                         src_it->second->has_slice(m->report.slice) &&
+                         host_runtimes_.contains(m->report.dst);
+      if (valid) m->report.src = src;
+      if (settle_trivial_migration(*m, valid)) continue;
+    } else {
+      auto& t = std::get<TransitionTask>(task);
+      if (!transition_admissible(t)) {
+        t.report.completed = false;
+        t.report.finished = simulator_.now();
+        if (t.callback) t.callback(t.report);
+        continue;
+      }
+      // An earlier capture on a participant is not yet proven durable, and
+      // re-driving two stacked captures after a crash is unsupported. Force
+      // the durability boundary; the request keeps its place at the head
+      // and retries when the checkpoint lands.
+      const bool merge = t.report.kind == TransitionKind::kMerge;
+      if (rollforward_.contains(t.report.parent) ||
+          (merge && rollforward_.contains(t.report.child))) {
+        slice_runtime(t.report.parent)->checkpoint(control_endpoint_);
+        if (merge) slice_runtime(t.report.child)->checkpoint(control_endpoint_);
+        queue_.push_front(std::move(task));
+        return;
+      }
     }
-    task.report.src = src;
-    if (src == task.report.dst) {
-      task.report.frozen = task.report.activated = task.report.completed =
-          simulator_.now();
-      if (task.callback) task.callback(task.report);
-      continue;
+    current_ = std::move(task);
+    // Each begin_* ends by firing the step hook, which may fail hosts and
+    // so finish this operation re-entrantly (the loop condition re-checks).
+    switch (kind_of(*current_)) {
+      case ReconfigKind::kMigration: begin_migration(); break;
+      case ReconfigKind::kSplit: begin_split_transition(); break;
+      case ReconfigKind::kMerge: begin_merge_transition(); break;
     }
-    current_migration_ = std::move(task);
-    current_migration_->dup_bytes_base = duplicate_bytes_total_;
-    migration_step([this] {
-      MigrationTask& t = *current_migration_;
-      auto req = std::make_shared<CreateReplicaRequest>();
-      req->migration = t.report.id;
-      req->slice = t.report.slice;
-      req->reply_to = control_endpoint_;
-      send_control(host_runtimes_.at(t.report.dst)->endpoint(),
-                   std::move(req));
-    });
-    // Last: the hook may fail hosts, aborting this migration re-entrantly
-    // (the while condition re-checks current_migration_).
-    fire_migration_step();
   }
 }
 
-bool Engine::fire_migration_step() {
-  if (!current_migration_) return false;
-  if (!migration_step_hook_) return true;
-  // The hook may fail hosts (the crash-at-every-step torture tests do
-  // exactly that), which can abort or finish the migration re-entrantly;
-  // tell the caller whether the one it was driving is still current.
-  const MigrationId id = current_migration_->report.id;
-  migration_step_hook_(current_migration_->report,
-                       to_string(current_migration_->step));
-  return current_migration_ && current_migration_->report.id == id;
-}
-
-void Engine::advance_after_duplication() {
-  MigrationTask& t = *current_migration_;
-  if (t.strategy->precopy_rounds(config_) > 0) {
-    t.set_step(MigrationTask::Step::kPrecopy);
-    start_precopy_round();
-  } else {
-    t.set_step(MigrationTask::Step::kTransfer);
-    migration_step([this] { send_freeze(); });
-    fire_migration_step();
+bool Engine::transition_admissible(const TransitionTask& task) {
+  if (task.report.kind == TransitionKind::kSplit) {
+    SliceRuntime* parent = slice_runtime(task.report.parent);
+    const KeyCoverage* cov = routed_coverage(task.report.parent);
+    return parent != nullptr && cov != nullptr &&
+           host_runtimes_.contains(task.dst) &&
+           parent->handler().supports_split() && cov->depth < 62;
   }
+  SliceRuntime* survivor = slice_runtime(task.report.parent);
+  SliceRuntime* retiree = slice_runtime(task.report.child);
+  const KeyCoverage* surv_cov = routed_coverage(task.report.parent);
+  const KeyCoverage* ret_cov = routed_coverage(task.report.child);
+  return survivor != nullptr && retiree != nullptr && surv_cov != nullptr &&
+         ret_cov != nullptr && task.report.parent != task.report.child &&
+         survivor->handler().supports_split() && surv_cov->sibling_of(*ret_cov);
 }
 
-void Engine::start_precopy_round() {
-  MigrationTask& t = *current_migration_;
-  ++t.round;
-  ESH_INVARIANT("engine", "precopy-rounds-bounded",
-                t.round <= t.strategy->precopy_rounds(config_),
-                ::esh::contracts::Detail{}
-                    .slice(t.report.slice)
-                    .expected("round <= " + std::to_string(
-                                  t.strategy->precopy_rounds(config_)))
-                    .actual(std::to_string(t.round))
-                    .note("migration " + std::to_string(t.report.id.value())));
+void Engine::begin_migration() {
+  MigrationTask& task = *current_migration();
+  task.dup_bytes_base = duplicate_bytes_total_;
   migration_step([this] {
-    MigrationTask& t = *current_migration_;
-    auto req = std::make_shared<PrecopyRequest>();
-    req->migration = t.report.id;
-    req->slice = t.report.slice;
-    req->round = t.round;
-    req->dst_host = t.report.dst;
-    req->reply_to = control_endpoint_;
-    send_control(host_runtimes_.at(t.report.src)->endpoint(), std::move(req));
+    const MigrationTask& t = *current_migration();
+    send_request<CreateReplicaRequest>(t.report.dst, t.report.id,
+                                       t.report.slice);
   });
-  fire_migration_step();
+  fire_step(to_string(task.step));
+}
+
+bool Engine::fire_step(std::string_view step) {
+  if (!current_) return false;
+  if (!step_hook_) return true;
+  const auto current_id = [this] {
+    return std::visit([](const auto& t) { return t.report.id; }, *current_);
+  };
+  const MigrationId id = current_id();
+  step_hook_(kind_of(*current_), step);
+  return current_ && current_id() == id;
 }
 
 void Engine::finish_migration(MigrationOutcome outcome) {
-  MigrationTask task = std::move(*current_migration_);
-  current_migration_.reset();
+  MigrationTask& task = *current_migration();
   task.report.outcome = outcome;
   task.report.completed = simulator_.now();
   task.report.precopy_bytes = task.precopy_bytes;
@@ -653,131 +678,62 @@ void Engine::finish_migration(MigrationOutcome outcome) {
                             "/" +
                             std::to_string(task.report.completed.count())));
   if (outcome == MigrationOutcome::kCompleted) ++migrations_completed_;
-  if (task.callback) task.callback(task.report);
-  start_next_migration();
-  start_next_transition();
-}
-
-// ---- split / merge coordination ---------------------------------------------
-
-void Engine::split_slice(SliceId parent, HostId dst,
-                         TransitionCallback callback) {
-  TransitionTask task;
-  task.report.id = MigrationId{next_migration_++};
-  task.report.kind = TransitionKind::kSplit;
-  task.report.parent = parent;
-  task.report.requested = simulator_.now();
-  task.callback = std::move(callback);
-  task.dst = dst;
-  transition_queue_.push_back(std::move(task));
-  start_next_transition();
-}
-
-void Engine::merge_slices(SliceId survivor, SliceId retiree,
-                          TransitionCallback callback) {
-  TransitionTask task;
-  task.report.id = MigrationId{next_migration_++};
-  task.report.kind = TransitionKind::kMerge;
-  task.report.parent = survivor;
-  task.report.child = retiree;
-  task.report.requested = simulator_.now();
-  task.callback = std::move(callback);
-  transition_queue_.push_back(std::move(task));
-  start_next_transition();
-}
-
-void Engine::start_next_transition() {
-  // Coverage of a slice under the CURRENT routing, or nullptr when the
-  // slice is not routed (merged away / never deployed).
-  const auto coverage_of = [this](SliceId slice) -> const KeyCoverage* {
-    if (!static_ || !static_->slice_infos.contains(slice)) return nullptr;
-    const auto& op = static_->op_of(slice);
-    for (std::size_t i = 0; i < op.slices.size(); ++i) {
-      if (op.slices[i] == slice) return &op.coverages[i];
-    }
-    return nullptr;
-  };
-  while (!current_migration_ && !current_transition_ &&
-         !transition_queue_.empty()) {
-    TransitionTask task = std::move(transition_queue_.front());
-    transition_queue_.pop_front();
-    const auto reject = [&] {
-      task.report.completed = false;
-      task.report.finished = simulator_.now();
-      if (task.callback) task.callback(task.report);
-    };
-    // Re-validate against current cluster state (the request may have
-    // queued behind operations that changed it).
-    if (task.report.kind == TransitionKind::kSplit) {
-      SliceRuntime* parent = slice_runtime(task.report.parent);
-      const KeyCoverage* cov = coverage_of(task.report.parent);
-      if (parent == nullptr || cov == nullptr ||
-          !host_runtimes_.contains(task.dst) ||
-          !parent->handler().supports_split() || cov->depth >= 62) {
-        reject();
-        continue;
-      }
-      if (rollforward_.contains(task.report.parent)) {
-        // An earlier capture on this slice is not yet proven durable, and
-        // re-driving two stacked captures after a crash is unsupported.
-        // Force the durability boundary and retry when it lands.
-        parent->checkpoint(control_endpoint_);
-        transition_queue_.push_front(std::move(task));
-        return;
-      }
-      current_transition_ = std::move(task);
-      begin_split_transition();
-    } else {
-      SliceRuntime* survivor = slice_runtime(task.report.parent);
-      SliceRuntime* retiree = slice_runtime(task.report.child);
-      const KeyCoverage* surv_cov = coverage_of(task.report.parent);
-      const KeyCoverage* ret_cov = coverage_of(task.report.child);
-      if (survivor == nullptr || retiree == nullptr || surv_cov == nullptr ||
-          ret_cov == nullptr || task.report.parent == task.report.child ||
-          !survivor->handler().supports_split() ||
-          !surv_cov->sibling_of(*ret_cov)) {
-        reject();
-        continue;
-      }
-      if (rollforward_.contains(task.report.parent) ||
-          rollforward_.contains(task.report.child)) {
-        survivor->checkpoint(control_endpoint_);
-        retiree->checkpoint(control_endpoint_);
-        transition_queue_.push_front(std::move(task));
-        return;
-      }
-      current_transition_ = std::move(task);
-      begin_merge_transition();
-    }
-  }
+  finish_current();
 }
 
 void Engine::finish_transition(bool completed) {
-  TransitionTask task = std::move(*current_transition_);
-  current_transition_.reset();
+  TransitionTask& task = *current_transition();
   task.report.completed = completed;
   task.report.finished = simulator_.now();
-  if (completed) {
-    if (task.report.kind == TransitionKind::kSplit) {
-      ++splits_completed_;
-    } else {
-      ++merges_completed_;
-    }
+  if (completed && task.report.kind == TransitionKind::kSplit) {
+    ++splits_completed_;
+  } else if (completed) {
+    ++merges_completed_;
   }
-  if (task.callback) task.callback(task.report);
-  start_next_migration();
-  start_next_transition();
+  finish_current();
 }
 
-bool Engine::fire_elastic_step(std::string_view step) {
-  if (!current_transition_) return false;
-  if (!elastic_step_hook_) return true;
-  // The hook may fail hosts (the torture tests do exactly that), which can
-  // abort or finish the transition re-entrantly; tell the caller whether
-  // the transition it was driving is still the current one.
-  const MigrationId id = current_transition_->report.id;
-  elastic_step_hook_(current_transition_->report, step);
-  return current_transition_ && current_transition_->report.id == id;
+void Engine::finish_current() {
+  ReconfigTask task = std::move(*current_);
+  current_.reset();
+  std::visit([](auto& t) { if (t.callback) t.callback(t.report); }, task);
+  start_next();
+}
+
+void Engine::advance_after_duplication() {
+  MigrationTask& t = *current_migration();
+  if (t.strategy->precopy_rounds(config_) > 0) {
+    t.set_step(MigrationTask::Step::kPrecopy);
+    start_precopy_round();
+  } else {
+    t.set_step(MigrationTask::Step::kTransfer);
+    migration_step([this] { send_freeze(); });
+    fire_step(to_string(t.step));
+  }
+}
+
+void Engine::start_precopy_round() {
+  MigrationTask& t = *current_migration();
+  ++t.round;
+  ESH_INVARIANT("engine", "precopy-rounds-bounded",
+                t.round <= t.strategy->precopy_rounds(config_),
+                ::esh::contracts::Detail{}
+                    .slice(t.report.slice)
+                    .expected("round <= " + std::to_string(
+                                  t.strategy->precopy_rounds(config_)))
+                    .actual(std::to_string(t.round))
+                    .note("migration " + std::to_string(t.report.id.value())));
+  migration_step([this] {
+    MigrationTask& t = *current_migration();
+    auto req = std::make_shared<PrecopyRequest>();
+    req->migration = t.report.id;
+    req->slice = t.report.slice;
+    req->round = t.round;
+    req->dst_host = t.report.dst;
+    req->reply_to = control_endpoint_;
+    send_control(host_runtimes_.at(t.report.src)->endpoint(), std::move(req));
+  });
+  fire_step(to_string(t.step));
 }
 
 std::vector<std::pair<SliceId, SeqNo>> Engine::capture_cut_vector(
@@ -800,7 +756,7 @@ std::vector<std::pair<SliceId, SeqNo>> Engine::capture_cut_vector(
 }
 
 void Engine::begin_split_transition() {
-  TransitionTask& t = *current_transition_;
+  TransitionTask& t = *current_transition();
   // Allocate the child identity: fresh SliceId, slice_index one past the
   // operator's current maximum. Indices stay sparse after merges — routing
   // goes by coverage and downstream completion by fan membership, so only
@@ -822,30 +778,15 @@ void Engine::begin_split_transition() {
   // ever routed to the child is either buffered by the replica or delivered
   // after activation.
   directory_[child] = SliceLocation{t.dst, HostId{}};
-  auto req = std::make_shared<CreateReplicaRequest>();
-  req->migration = t.report.id;
-  req->slice = child;
-  req->reply_to = control_endpoint_;
-  send_control(host_runtimes_.at(t.dst)->endpoint(), std::move(req));
-  t.pending_update_hosts.clear();
-  // lint:allow(unordered-iteration): fills a std::set, order-free
-  for (const auto& [id, runtime] : host_runtimes_) {
-    t.pending_update_hosts.insert(id);
-  }
-  // Sorted: send order serializes on the manager NIC.
-  for (const HostId id : sorted_keys(host_runtimes_)) {
-    auto update = std::make_shared<DirectoryUpdateMessage>();
-    update->migration = t.report.id;
-    update->slice = child;
-    update->host = t.dst;
-    update->reply_to = control_endpoint_;
-    send_control(host_runtimes_.at(id)->endpoint(), std::move(update));
-  }
-  fire_elastic_step(to_string(SplitStep::kCreateChild));
+  send_request<CreateReplicaRequest>(t.dst, t.report.id, child);
+  const auto live = sorted_keys(host_runtimes_);
+  t.pending_update_hosts = std::set<HostId>(live.begin(), live.end());
+  broadcast_location(child, t.dst, t.report.id);
+  fire_step(to_string(t.split_step));
 }
 
 void Engine::split_cutover() {
-  TransitionTask& t = *current_transition_;
+  TransitionTask& t = *current_transition();
   t.set_split_step(SplitStep::kCutOver);
   StaticConfig::OperatorInfo& op = mutable_op_of(t.report.parent);
   std::size_t pos = op.slices.size();
@@ -870,29 +811,22 @@ void Engine::split_cutover() {
                     .note("split cut-over of operator " + op.name));
   t.report.cutover = simulator_.now();
   SliceRuntime* parent = slice_runtime(t.report.parent);
-  SliceRuntime::SplitSpec spec;
-  spec.transition = t.report.id;
-  spec.child = t.report.child;
-  spec.child_cov = t.child_cov;
-  spec.cutover = capture_cut_vector(t.report.parent);
-  spec.reply_to = control_endpoint_;
+  RollForward roll{.role = RollForward::Role::kSplitParent,
+                   .transition = t.report.id,
+                   .epoch = parent->coverage_epoch() + 1,
+                   .other = t.report.child,
+                   .cov = t.child_cov,
+                   .cutover = capture_cut_vector(t.report.parent)};
+  issue_leg(*parent, roll);
   if (config_.checkpoints.enabled) {
-    RollForward roll;
-    roll.role = RollForward::Role::kSplitParent;
-    roll.transition = t.report.id;
-    roll.epoch = parent->coverage_epoch() + 1;
-    roll.other = t.report.child;
-    roll.cov = t.child_cov;
-    roll.cutover = spec.cutover;
     rollforward_[t.report.parent] = std::move(roll);
   }
-  parent->begin_split(std::move(spec));
   t.set_split_step(SplitStep::kDrain);
-  fire_elastic_step(to_string(SplitStep::kDrain));
+  fire_step(to_string(t.split_step));
 }
 
 void Engine::begin_merge_transition() {
-  TransitionTask& t = *current_transition_;
+  TransitionTask& t = *current_transition();
   const SliceId survivor = t.report.parent;
   const SliceId retiree = t.report.child;
   t.retiree_host = directory_.at(retiree).primary;
@@ -921,46 +855,33 @@ void Engine::begin_merge_transition() {
                     .slice(survivor)
                     .note("merge cut-over of operator " + op.name));
   t.report.cutover = simulator_.now();
+  RollForward surv_roll{.role = RollForward::Role::kMergeSurvivor,
+                        .transition = t.report.id,
+                        .epoch = survivor_rt->coverage_epoch() + 1,
+                        .other = retiree,
+                        .cutover = survivor_cut};
+  RollForward ret_roll{.role = RollForward::Role::kMergeRetiree,
+                       .transition = t.report.id,
+                       .epoch = retiree_rt->coverage_epoch() + 1,
+                       .other = survivor,
+                       .cutover = retiree_final};
+  issue_leg(*survivor_rt, surv_roll);
+  issue_leg(*retiree_rt, ret_roll);
   if (config_.checkpoints.enabled) {
-    RollForward surv_roll;
-    surv_roll.role = RollForward::Role::kMergeSurvivor;
-    surv_roll.transition = t.report.id;
-    surv_roll.epoch = survivor_rt->coverage_epoch() + 1;
-    surv_roll.other = retiree;
-    surv_roll.cutover = survivor_cut;
     rollforward_[survivor] = std::move(surv_roll);
-    RollForward ret_roll;
-    ret_roll.role = RollForward::Role::kMergeRetiree;
-    ret_roll.transition = t.report.id;
-    ret_roll.epoch = retiree_rt->coverage_epoch() + 1;
-    ret_roll.other = survivor;
-    ret_roll.cutover = retiree_final;
     rollforward_[retiree] = std::move(ret_roll);
   }
-  SliceRuntime::AbsorbSpec absorb;
-  absorb.transition = t.report.id;
-  absorb.retiree = retiree;
-  absorb.cutover = survivor_cut;
-  absorb.reply_to = control_endpoint_;
-  survivor_rt->begin_absorb(std::move(absorb));
-  SliceRuntime::FreezeSpec freeze;
-  freeze.migration = t.report.id;
-  freeze.catchup = retiree_final;
-  freeze.dst_host = HostId{};
-  freeze.reply_to = control_endpoint_;
-  freeze.merge_capture = true;
-  retiree_rt->request_freeze(std::move(freeze));
   t.set_merge_step(MergeStep::kDrainRetiree);
-  fire_elastic_step(to_string(MergeStep::kDrainRetiree));
+  fire_step(to_string(t.merge_step));
 }
 
 bool Engine::handle_transition_control(const net::Message* msg) {
+  TransitionTask* current = current_transition();
   if (const auto* cap = dynamic_cast<const SplitStateMessage*>(msg)) {
-    if (current_transition_ &&
-        cap->transition == current_transition_->report.id &&
-        current_transition_->report.kind == TransitionKind::kSplit &&
-        current_transition_->split_step == SplitStep::kDrain) {
-      TransitionTask& t = *current_transition_;
+    if (current != nullptr && cap->transition == current->report.id &&
+        current->report.kind == TransitionKind::kSplit &&
+        current->split_step == SplitStep::kDrain) {
+      TransitionTask& t = *current;
       t.report.moved = cap->moved;
       // The captured half becomes a synthetic checkpoint: the child
       // activates through the ordinary recovery path, channels starting
@@ -969,12 +890,8 @@ bool Engine::handle_transition_control(const net::Message* msg) {
       checkpoints_[t.report.child] =
           StoredCheckpoint{cap->state, {}, {}, {}, 0};
       t.set_split_step(SplitStep::kActivate);
-      recover_slice(t.report.child, t.dst, [this, id = t.report.id] {
-        if (current_transition_ && current_transition_->report.id == id) {
-          finish_transition(true);
-        }
-      });
-      fire_elastic_step(to_string(SplitStep::kActivate));
+      activate_split_child(t);
+      fire_step(to_string(t.split_step));
       return true;
     }
     // Duplicate from a re-driven parent leg (deterministic replay makes the
@@ -993,11 +910,10 @@ bool Engine::handle_transition_control(const net::Message* msg) {
   }
 
   if (const auto* cap = dynamic_cast<const MergeStateMessage*>(msg)) {
-    if (current_transition_ &&
-        cap->transition == current_transition_->report.id &&
-        current_transition_->report.kind == TransitionKind::kMerge &&
-        current_transition_->merge_step == MergeStep::kDrainRetiree) {
-      TransitionTask& t = *current_transition_;
+    if (current != nullptr && cap->transition == current->report.id &&
+        current->report.kind == TransitionKind::kMerge &&
+        current->merge_step == MergeStep::kDrainRetiree) {
+      TransitionTask& t = *current;
       // The retiree's routable identity ends here: erase its directory
       // entry and checkpoint so no recovery sweep resurrects a zombie copy.
       directory_.erase(t.report.child);
@@ -1030,38 +946,32 @@ bool Engine::handle_transition_control(const net::Message* msg) {
         send_control(host_runtimes_.at(loc->second.primary)->endpoint(),
                      std::move(req), bytes);
       }
-      fire_elastic_step(to_string(MergeStep::kAbsorb));
+      fire_step(to_string(t.merge_step));
       return true;
     }
     return true;  // stale duplicate from a re-driven retiree leg
   }
 
   if (const auto* ack = dynamic_cast<const MergeAbsorbAck*>(msg)) {
-    if (current_transition_ &&
-        ack->transition == current_transition_->report.id &&
-        current_transition_->report.kind == TransitionKind::kMerge &&
-        current_transition_->merge_step == MergeStep::kAbsorb) {
-      TransitionTask& t = *current_transition_;
+    if (current != nullptr && ack->transition == current->report.id &&
+        current->report.kind == TransitionKind::kMerge &&
+        current->merge_step == MergeStep::kAbsorb) {
+      TransitionTask& t = *current;
       t.set_merge_step(MergeStep::kTeardown);
       const bool retiree_live = host_runtimes_.contains(t.retiree_host);
       if (retiree_live) {
-        auto req = std::make_shared<TeardownRequest>();
-        req->migration = t.report.id;
-        req->slice = t.report.child;
-        req->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(t.retiree_host)->endpoint(),
-                     std::move(req));
+        send_request<TeardownRequest>(t.retiree_host, t.report.id,
+                                      t.report.child);
       }
-      if (fire_elastic_step(to_string(MergeStep::kTeardown)) &&
-          !retiree_live) {
+      if (fire_step(to_string(t.merge_step)) && !retiree_live) {
         finish_transition(true);
       }
     }
     return true;  // stale duplicate from a re-driven survivor leg
   }
 
-  if (!current_transition_) return false;
-  TransitionTask& t = *current_transition_;
+  if (current == nullptr) return false;
+  TransitionTask& t = *current;
 
   if (const auto* ack = dynamic_cast<const CreateReplicaAck*>(msg)) {
     if (ack->migration != t.report.id) return false;
@@ -1100,9 +1010,18 @@ bool Engine::handle_transition_control(const net::Message* msg) {
   return false;
 }
 
+void Engine::activate_split_child(const TransitionTask& t) {
+  recover_slice(t.report.child, t.dst, [this, id = t.report.id] {
+    if (const TransitionTask* now = current_transition();
+        now != nullptr && now->report.id == id) {
+      finish_transition(true);
+    }
+  });
+}
+
 void Engine::handle_transition_host_failure(HostId host) {
-  if (!current_transition_) return;
-  TransitionTask& t = *current_transition_;
+  if (current_transition() == nullptr) return;
+  TransitionTask& t = *current_transition();
 
   if (t.report.kind == TransitionKind::kMerge) {
     // Every merge leg re-drives through RollForward after the lost slice
@@ -1139,11 +1058,7 @@ void Engine::handle_transition_host_failure(HostId host) {
         broadcast_location(t.report.child, t.dst);
         if (t.split_step == SplitStep::kActivate) {
           // The restore went to the dead host; re-issue it.
-          recover_slice(t.report.child, t.dst, [this, id = t.report.id] {
-            if (current_transition_ && current_transition_->report.id == id) {
-              finish_transition(true);
-            }
-          });
+          activate_split_child(t);
         }
         return;
       }
@@ -1161,11 +1076,7 @@ void Engine::handle_transition_host_failure(HostId host) {
       case SplitStep::kCreateChild: {
         // Parent lost pre-cut-over: abort, tearing the child replica down.
         t.set_split_step(SplitStep::kAborting);
-        auto req = std::make_shared<AbortReplicaRequest>();
-        req->migration = t.report.id;
-        req->slice = t.report.child;
-        req->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(t.dst)->endpoint(), std::move(req));
+        send_request<AbortReplicaRequest>(t.dst, t.report.id, t.report.child);
         return;
       }
       case SplitStep::kCutOver:
@@ -1187,12 +1098,7 @@ void Engine::handle_transition_host_failure(HostId host) {
   }
 }
 
-void Engine::redrive_rollforward(SliceId slice) {
-  auto it = rollforward_.find(slice);
-  if (it == rollforward_.end()) return;
-  RollForward& roll = it->second;
-  SliceRuntime* rt = slice_runtime(slice);
-  if (rt == nullptr) return;
+void Engine::issue_leg(SliceRuntime& rt, const RollForward& roll) {
   switch (roll.role) {
     case RollForward::Role::kSplitParent: {
       SliceRuntime::SplitSpec spec;
@@ -1201,7 +1107,7 @@ void Engine::redrive_rollforward(SliceId slice) {
       spec.child_cov = roll.cov;
       spec.cutover = roll.cutover;
       spec.reply_to = control_endpoint_;
-      rt->begin_split(std::move(spec));
+      rt.begin_split(std::move(spec));
       return;
     }
     case RollForward::Role::kMergeSurvivor: {
@@ -1210,8 +1116,8 @@ void Engine::redrive_rollforward(SliceId slice) {
       spec.retiree = roll.other;
       spec.cutover = roll.cutover;
       spec.reply_to = control_endpoint_;
-      rt->begin_absorb(std::move(spec));
-      if (roll.state_ready) rt->deliver_absorb_state(roll.state, roll.log);
+      rt.begin_absorb(std::move(spec));
+      if (roll.state_ready) rt.deliver_absorb_state(roll.state, roll.log);
       return;
     }
     case RollForward::Role::kMergeRetiree: {
@@ -1221,27 +1127,41 @@ void Engine::redrive_rollforward(SliceId slice) {
       spec.dst_host = HostId{};
       spec.reply_to = control_endpoint_;
       spec.merge_capture = true;
-      rt->request_freeze(std::move(spec));
+      rt.request_freeze(std::move(spec));
       return;
     }
   }
 }
 
-void Engine::broadcast_location(SliceId slice, HostId host) {
+void Engine::redrive_rollforward(SliceId slice) {
+  auto it = rollforward_.find(slice);
+  if (it == rollforward_.end()) return;
+  if (SliceRuntime* rt = slice_runtime(slice)) issue_leg(*rt, it->second);
+}
+
+void Engine::broadcast_location(SliceId slice, HostId host,
+                                MigrationId acked_by) {
   // Sorted: send order serializes on the manager NIC and decides per-host
   // delivery times.
   for (const HostId id : sorted_keys(host_runtimes_)) {
     auto update = std::make_shared<DirectoryUpdateMessage>();
-    update->migration = MigrationId{};
+    update->migration = acked_by;
     update->slice = slice;
     update->host = host;
-    update->reply_to = net::Endpoint{};  // no ack needed
+    update->reply_to = acked_by.valid() ? control_endpoint_ : net::Endpoint{};
     send_control(host_runtimes_.at(id)->endpoint(), std::move(update));
   }
 }
 
+void Engine::clear_shadow(SliceId slice) {
+  SliceLocation& loc = directory_.at(slice);
+  loc.shadow = HostId{};
+  loc.redirect = false;
+  broadcast_location(slice, loc.primary);
+}
+
 void Engine::after_directory_acks() {
-  MigrationTask& t = *current_migration_;
+  MigrationTask& t = *current_migration();
   if (!host_runtimes_.contains(t.report.src)) {
     // The source died after activation: nothing left to tear down, the
     // slice is safe on the destination.
@@ -1250,19 +1170,15 @@ void Engine::after_directory_acks() {
   }
   t.set_step(MigrationTask::Step::kTeardown);
   migration_step([this] {
-    MigrationTask& t = *current_migration_;
-    auto req = std::make_shared<TeardownRequest>();
-    req->migration = t.report.id;
-    req->slice = t.report.slice;
-    req->reply_to = control_endpoint_;
-    send_control(host_runtimes_.at(t.report.src)->endpoint(), std::move(req));
+    const MigrationTask& t = *current_migration();
+    send_request<TeardownRequest>(t.report.src, t.report.id, t.report.slice);
   });
-  fire_migration_step();
+  fire_step(to_string(t.step));
 }
 
 void Engine::handle_host_failure(HostId host) {
-  if (!current_migration_) return;
-  MigrationTask& t = *current_migration_;
+  if (current_migration() == nullptr) return;
+  MigrationTask& t = *current_migration();
   using Step = MigrationTask::Step;
   const SliceId slice = t.report.slice;
 
@@ -1277,9 +1193,7 @@ void Engine::handle_host_failure(HostId host) {
         // Upstreams may already duplicate to the dead host: stop them. The
         // source never stopped serving (pre-copy rounds run while active),
         // so nothing else needs repair.
-        directory_[slice].shadow = HostId{};
-        directory_[slice].redirect = false;
-        broadcast_location(slice, t.report.src);
+        clear_shadow(slice);
         finish_migration(MigrationOutcome::kAbortedDstFailed);
         return;
       case Step::kPark:
@@ -1335,12 +1249,7 @@ void Engine::handle_host_failure(HostId host) {
         t.set_step(Step::kAborting);
         t.abort_peer = t.report.dst;
         t.abort_outcome = MigrationOutcome::kAbortedSrcFailed;
-        auto req = std::make_shared<AbortReplicaRequest>();
-        req->migration = t.report.id;
-        req->slice = slice;
-        req->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(t.report.dst)->endpoint(),
-                     std::move(req));
+        send_request<AbortReplicaRequest>(t.report.dst, t.report.id, slice);
         return;
       }
       case Step::kDirectoryUpdate:
@@ -1381,7 +1290,7 @@ void Engine::handle_host_failure(HostId host) {
 }
 
 void Engine::send_freeze() {
-  MigrationTask& t = *current_migration_;
+  MigrationTask& t = *current_migration();
   auto req = std::make_shared<FreezeRequest>();
   req->migration = t.report.id;
   req->slice = t.report.slice;
@@ -1408,15 +1317,18 @@ void Engine::repair_redirected_channels(
   for (const HostId id : sorted_keys(host_runtimes_)) {
     send_control(host_runtimes_.at(id)->endpoint(), replay);
   }
-  // External injections: re-deliver the logged suffix directly.
+  redeliver_injections(slice, processed);
+}
+
+void Engine::redeliver_injections(
+    SliceId slice, const std::vector<std::pair<SliceId, SeqNo>>& processed) {
   SeqNo external_watermark = 0;
   for (const auto& [upstream, watermark] : processed) {
     if (upstream == kExternalChannel) external_watermark = watermark;
   }
   const auto log = inject_log_.find(slice);
-  if (log == inject_log_.end()) return;
   const auto loc = directory_.find(slice);
-  if (loc == directory_.end()) return;
+  if (log == inject_log_.end() || loc == directory_.end()) return;
   const auto host_it = host_runtimes_.find(loc->second.primary);
   if (host_it == host_runtimes_.end()) return;
   for (const WireEvent& event : log->second) {
@@ -1426,26 +1338,32 @@ void Engine::repair_redirected_channels(
   }
 }
 
-void Engine::step_after_tick(std::function<void()> fn) {
-  const auto tick = static_cast<std::uint64_t>(config_.control_tick.count());
-  const auto delay =
-      tick == 0 ? SimDuration::zero()
-                : micros(static_cast<std::int64_t>(rng_.next_below(tick)));
-  simulator_.schedule(delay, std::move(fn));
-}
-
 void Engine::migration_step(std::function<void()> fn) {
   // A migration can be aborted (and a successor started) while a scheduled
   // step is in flight: the guard keeps a stale step from firing into the
   // wrong migration, and from racing an abort handshake (e.g. sending the
   // freeze after the source was already told to resume the slice).
-  const MigrationId id = current_migration_->report.id;
-  step_after_tick([this, id, fn = std::move(fn)] {
-    if (current_migration_ && current_migration_->report.id == id &&
-        current_migration_->step != MigrationTask::Step::kAborting) {
+  const MigrationId id = current_migration()->report.id;
+  const auto tick = static_cast<std::uint64_t>(config_.control_tick.count());
+  const auto delay =
+      tick == 0 ? SimDuration::zero()
+                : micros(static_cast<std::int64_t>(rng_.next_below(tick)));
+  simulator_.schedule(delay, [this, id, fn = std::move(fn)] {
+    const MigrationTask* t = current_migration();
+    if (t != nullptr && t->report.id == id &&
+        t->step != MigrationTask::Step::kAborting) {
       fn();
     }
   });
+}
+
+template <typename Request>
+void Engine::send_request(HostId host, MigrationId id, SliceId slice) {
+  auto req = std::make_shared<Request>();
+  req->migration = id;
+  req->slice = slice;
+  req->reply_to = control_endpoint_;
+  send_control(host_runtimes_.at(host)->endpoint(), std::move(req));
 }
 
 void Engine::send_control(net::Endpoint to, net::MessagePtr msg,
@@ -1511,14 +1429,16 @@ std::vector<SliceId> Engine::downstream_slices(SliceId slice) const {
   return out;
 }
 
+std::size_t Engine::input_channels(SliceId slice) const {
+  return upstream_slices(slice).size() +
+         (next_inject_seq_.contains(slice) ? 1 : 0);
+}
+
 void Engine::register_recovery_rebases(SliceId slice) {
   // Single-input slices replay their one channel in the original order, so
   // the regenerated output keeps the original numbering and downstream
   // dedup stays valid; only multi-input interleavings renumber.
-  const std::size_t input_channels =
-      upstream_slices(slice).size() +
-      (next_inject_seq_.contains(slice) ? 1 : 0);
-  if (input_channels <= 1) return;
+  if (input_channels(slice) <= 1) return;
   std::vector<std::pair<SliceId, SeqNo>> out_bases;
   if (auto cp = checkpoints_.find(slice); cp != checkpoints_.end()) {
     out_bases = cp->second.out_seqs;
@@ -1569,7 +1489,7 @@ void Engine::on_control(const net::Delivery& delivery) {
         roll != rollforward_.end() &&
         checkpoint->coverage_epoch >= roll->second.epoch) {
       rollforward_.erase(roll);
-      start_next_transition();
+      start_next();
     }
     // A checkpoint whose watermark reaches a recovered upstream's
     // regenerated base proves this consumer advanced in the new numbering;
@@ -1640,9 +1560,7 @@ void Engine::on_control(const net::Delivery& delivery) {
     // sequence numbering and downstream dedup stays valid. Only multi-input
     // slices can interleave replayed channels differently and need their
     // downstream channels rewound to the restored bases.
-    const std::size_t input_channels =
-        upstream_slices(ack->slice).size() +
-        (next_inject_seq_.contains(ack->slice) ? 1 : 0);
+    const bool reset_channels = input_channels(ack->slice) > 1;
     // This recovery renumbers a multi-input slice's output (fresh
     // interleaving from the checkpoint cut). Refresh the per-consumer
     // regenerated bases (first recorded at fail_host time) so consumers
@@ -1656,7 +1574,7 @@ void Engine::on_control(const net::Delivery& delivery) {
       update->slice = ack->slice;
       update->host = dst;
       update->reply_to = net::Endpoint{};  // no ack needed
-      update->reset_channels = input_channels > 1;
+      update->reset_channels = reset_channels;
       update->out_bases = out_bases;
       send_control(host_runtimes_.at(id)->endpoint(), update);
     }
@@ -1681,21 +1599,7 @@ void Engine::on_control(const net::Delivery& delivery) {
       send_control(dst_endpoint, again);
     }
     pending_replays_[ack->slice] = processed;
-    // External injections: re-deliver the logged suffix directly.
-    SeqNo external_watermark = 0;
-    for (const auto& [upstream, watermark] : processed) {
-      if (upstream == kExternalChannel) external_watermark = watermark;
-    }
-    auto log = inject_log_.find(ack->slice);
-    if (log != inject_log_.end()) {
-      auto dst_runtime = host_runtimes_.find(dst);
-      for (const WireEvent& event : log->second) {
-        if (event.seq > external_watermark &&
-            dst_runtime != host_runtimes_.end()) {
-          dst_runtime->second->deliver_external(event);
-        }
-      }
-    }
+    redeliver_injections(ack->slice, processed);
     // A pending split/merge capture on this slice replays now, from the
     // freshly restored state — deterministically identical to the original.
     redrive_rollforward(ack->slice);
@@ -1709,11 +1613,11 @@ void Engine::on_control(const net::Delivery& delivery) {
   // families draw from the same counter) ----
   if (handle_transition_control(msg)) return;
 
-  if (!current_migration_) {
+  if (current_migration() == nullptr) {
     ESH_WARN << "Engine: control message with no migration in flight";
     return;
   }
-  MigrationTask& task = *current_migration_;
+  MigrationTask& task = *current_migration();
   using Step = MigrationTask::Step;
 
   if (const auto* ack = dynamic_cast<const CreateReplicaAck*>(msg)) {
@@ -1753,7 +1657,7 @@ void Engine::on_control(const net::Delivery& delivery) {
                                                      : Step::kDuplication);
     // One request per host holding at least one upstream slice.
     migration_step([this, hosts] {
-      MigrationTask& t = *current_migration_;
+      MigrationTask& t = *current_migration();
       for (HostId host : hosts) {
         if (!host_runtimes_.contains(host)) continue;  // died meanwhile
         auto req = std::make_shared<StartDuplicationRequest>();
@@ -1765,7 +1669,7 @@ void Engine::on_control(const net::Delivery& delivery) {
         send_control(host_runtimes_.at(host)->endpoint(), std::move(req));
       }
     });
-    fire_migration_step();
+    fire_step(to_string(task.step));
     return;
   }
 
@@ -1804,7 +1708,7 @@ void Engine::on_control(const net::Delivery& delivery) {
     } else {
       task.set_step(Step::kTransfer);
       migration_step([this] { send_freeze(); });
-      fire_migration_step();
+      fire_step(to_string(task.step));
     }
     return;
   }
@@ -1849,24 +1753,13 @@ void Engine::on_control(const net::Delivery& delivery) {
     directory_[task.report.slice] =
         SliceLocation{task.report.dst, HostId{}};
     task.set_step(Step::kDirectoryUpdate);
-    task.pending_update_hosts.clear();
-    // lint:allow(unordered-iteration): fills a std::set, order-free
-    for (const auto& [id, runtime] : host_runtimes_) {
-      task.pending_update_hosts.insert(id);
-    }
+    const auto live = sorted_keys(host_runtimes_);
+    task.pending_update_hosts = std::set<HostId>(live.begin(), live.end());
     migration_step([this] {
-      MigrationTask& t = *current_migration_;
-      // Sorted: update send order serializes on the manager NIC.
-      for (const HostId id : sorted_keys(host_runtimes_)) {
-        auto update = std::make_shared<DirectoryUpdateMessage>();
-        update->migration = t.report.id;
-        update->slice = t.report.slice;
-        update->host = t.report.dst;
-        update->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(id)->endpoint(), std::move(update));
-      }
+      const MigrationTask& t = *current_migration();
+      broadcast_location(t.report.slice, t.report.dst, t.report.id);
     });
-    fire_migration_step();
+    fire_step(to_string(task.step));
     return;
   }
 
@@ -1895,10 +1788,7 @@ void Engine::on_control(const net::Delivery& delivery) {
     // The source resolved the abort: either the slice resumed in place, or
     // its frozen state shipped to the dead destination and it needs
     // recovery. Either way, stop any lingering duplication.
-    directory_[task.report.slice].shadow = HostId{};
-    directory_[task.report.slice].redirect = false;
-    broadcast_location(task.report.slice,
-                       directory_.at(task.report.slice).primary);
+    clear_shadow(task.report.slice);
     if (ack->resumed && (task.strategy->redirect_channels() || ack->thawed)) {
       // Stop-and-restart: everything redirected since the park went only to
       // the now-dead replica, so the resumed source needs the suffix replayed
@@ -1928,10 +1818,7 @@ void Engine::on_control(const net::Delivery& delivery) {
       finish_migration(MigrationOutcome::kCompleted);
       return;
     }
-    directory_[task.report.slice].shadow = HostId{};
-    directory_[task.report.slice].redirect = false;
-    broadcast_location(task.report.slice,
-                       directory_.at(task.report.slice).primary);
+    clear_shadow(task.report.slice);
     finish_migration(task.abort_outcome);
     return;
   }

@@ -18,6 +18,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "cluster/cost_model.hpp"
@@ -71,10 +72,6 @@ struct EngineConfig {
   // simulator thread; 0 or 1 keeps every tier inline. Simulated results are
   // bit-identical for every value -- only wall-clock changes.
   std::size_t worker_threads = 1;
-  // Back-compat alias from the M-tier-only offload era: the pool is sized
-  // max(worker_threads, match_threads), so configs that still set only
-  // match_threads keep driving the (now pipeline-wide) pool.
-  std::size_t match_threads = 1;
   // Run every control-plane exchange (migration protocol, checkpoint
   // shipping, recovery orchestration) over net::ReliableChannel:
   // ack/retransmit with exponential backoff makes the coordinator survive
@@ -123,18 +120,9 @@ enum class MigrationStep {
 
 [[nodiscard]] const char* to_string(MigrationStep step);
 
-// The legal coordinator transitions of the buffered-replay (paper) protocol,
-// including the abort edges taken when a participant host dies mid-protocol
-// and the kAborting -> kDirectoryUpdate edge (an ActivatedAck racing an
-// abort means the move actually completed).
-[[nodiscard]] bool migration_transition_legal(MigrationStep from,
-                                              MigrationStep to);
-
-// Contract-layer assertion of the relation above (no-op in default builds);
-// every coordinator step-change funnels through the strategy-aware overload,
-// which checks the transition against the strategy's own spec table.
-void assert_migration_transition(MigrationId id, SliceId slice,
-                                 MigrationStep from, MigrationStep to);
+// Contract-layer assertion (no-op in default builds) that a coordinator
+// step change is an edge of the strategy's own spec table; every step change
+// of an in-flight migration funnels through it.
 void assert_migration_transition(const MigrationStrategy& strategy,
                                  MigrationId id, SliceId slice,
                                  MigrationStep from, MigrationStep to);
@@ -148,6 +136,11 @@ void assert_migration_transition(const MigrationStrategy& strategy,
 enum class TransitionKind { kSplit, kMerge };
 
 [[nodiscard]] const char* to_string(TransitionKind kind);
+
+// The three reconfigurations the coordinator runs, one at a time.
+enum class ReconfigKind { kMigration, kSplit, kMerge };
+
+[[nodiscard]] const char* to_string(ReconfigKind kind);
 
 // Coordinator-side protocol position of an in-flight split.
 enum class SplitStep {
@@ -253,35 +246,30 @@ class Engine {
   // ---- data ----
   void inject(std::string_view op, std::size_t slice_index, PayloadPtr payload);
 
-  // ---- elasticity mechanism ----
-  // Migrates `slice` to `dst`. Migrations are executed one at a time in
-  // request order (the enforcer minimizes their number; serializing them
-  // bounds interference). The callback always fires exactly once and carries
-  // the outcome: an unknown slice or destination is rejected through the
-  // callback (kRejected), and a source/destination crash mid-protocol aborts
-  // the move cleanly instead of wedging the queue.
-  void migrate(SliceId slice, HostId dst, MigrationCallback callback);
-  // Strategy-selecting overload; the two-argument form runs the paper's
-  // buffered-replay protocol, so every existing caller is unchanged.
+  // ---- elasticity mechanism: migrate, split, merge ----
+  // One coordinator queue runs reconfigurations of every kind one at a
+  // time, in request order (the enforcer minimizes their number;
+  // serializing them bounds interference). Each request is re-validated
+  // when it reaches the head of the queue. Every callback fires exactly
+  // once and carries the outcome: invalid arguments reject through it, and
+  // a participant crash mid-protocol aborts or rolls the operation forward
+  // instead of wedging the queue.
+  //
+  // Migrates `slice` to `dst` under `strategy`. An unknown slice or
+  // destination is rejected at once (kRejected).
   void migrate(SliceId slice, HostId dst, MigrationStrategyKind strategy,
                MigrationCallback callback);
-  [[nodiscard]] std::size_t pending_migrations() const {
-    return migration_queue_.size() + (current_migration_ ? 1 : 0);
-  }
-
-  // ---- fine-grained elasticity: key-level split / merge ----
   // Splits `parent`'s key coverage in two: the parent keeps one half and a
-  // fresh child slice hosted on `dst` takes the other. Serialized with
-  // migrations on the same coordinator (one elastic operation in flight at
-  // a time). The callback fires exactly once; invalid arguments reject
-  // through it (completed=false).
+  // fresh child slice hosted on `dst` takes the other. Rejects with
+  // completed=false.
   void split_slice(SliceId parent, HostId dst, TransitionCallback callback);
   // Inverse of split_slice: `retiree`'s coverage and state fold back into
   // its coverage-sibling `survivor`, and the retiree slice is torn down.
   void merge_slices(SliceId survivor, SliceId retiree,
                     TransitionCallback callback);
-  [[nodiscard]] std::size_t pending_transitions() const {
-    return transition_queue_.size() + (current_transition_ ? 1 : 0);
+  // Reconfigurations of every kind queued or in flight.
+  [[nodiscard]] std::size_t pending_reconfigs() const {
+    return queue_.size() + (current_ ? 1 : 0);
   }
   [[nodiscard]] std::uint64_t splits_completed() const {
     return splits_completed_;
@@ -296,25 +284,19 @@ class Engine {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   // Key coverage currently routed to `slice` (throws for unknown slices).
   [[nodiscard]] KeyCoverage slice_coverage(SliceId slice) const;
-  // Chaos hook: fired after every coordinator step change of an in-flight
-  // split or merge; `step` matches to_string(SplitStep/MergeStep). The hook
-  // may fail hosts, which is exactly what the torture tests do.
-  void on_elastic_step(
-      std::function<void(const TransitionReport&, std::string_view)> hook) {
-    elastic_step_hook_ = std::move(hook);
+  // Chaos hook: fired when the in-flight reconfiguration enters a
+  // coordinator step. `step` matches to_string of the kind's step enum
+  // (MigrationStep, SplitStep or MergeStep; kPrecopy fires once per round);
+  // names such as "teardown" recur across kinds. The hook may fail hosts,
+  // which is exactly what the crash-at-every-step torture tests do.
+  void on_reconfig_step(
+      std::function<void(ReconfigKind, std::string_view)> hook) {
+    step_hook_ = std::move(hook);
   }
   // Testing seam: the next split cut-over "forgets" to refine the parent's
   // coverage, leaving parent and child overlapping — the key-coverage
   // completeness contract must trip (checked builds only).
   bool testing_corrupt_split_plan = false;
-  // Chaos hook: fired when the coordinator of an in-flight migration enters
-  // a step (`step` matches to_string(MigrationStep); kPrecopy fires once per
-  // round). The hook may fail hosts — the crash-at-every-step torture tests
-  // do exactly that.
-  void on_migration_step(
-      std::function<void(const MigrationReport&, std::string_view)> hook) {
-    migration_step_hook_ = std::move(hook);
-  }
   // Testing seam: issue one pre-copy round past the strategy's bound — the
   // precopy-rounds-bounded contract must trip (checked builds only).
   bool testing_force_extra_precopy_round = false;
@@ -388,12 +370,10 @@ class Engine {
   [[nodiscard]] Rng& rng() { return rng_; }
   // Worker pool for the pipeline's batched wall-clock compute (AP route
   // planning, M matching, EP merge assembly); nullptr when
-  // max(config.worker_threads, config.match_threads) <= 1. Handlers fan
-  // their on_batch_start precompute across it and join before any result is
-  // committed on the simulator thread.
+  // config.worker_threads <= 1. Handlers fan their on_batch_start
+  // precompute across it and join before any result is committed on the
+  // simulator thread.
   [[nodiscard]] ThreadPool* worker_pool() { return worker_pool_.get(); }
-  // Back-compat name for the pool from the M-tier-only offload era.
-  [[nodiscard]] ThreadPool* match_pool() { return worker_pool(); }
 
  private:
   struct MigrationTask {
@@ -431,9 +411,7 @@ class Engine {
     MigrationOutcome abort_outcome = MigrationOutcome::kCompleted;
   };
 
-  // One in-flight split or merge, serialized with migrations: the
-  // coordinator runs at most one elastic operation (of either family) at a
-  // time, migrations first.
+  // One split or merge request.
   struct TransitionTask {
     TransitionReport report;
     TransitionCallback callback;
@@ -468,40 +446,74 @@ class Engine {
     MigrationId transition;
     std::uint64_t epoch = 0;  // coverage epoch the pending capture produces
     SliceId other;            // split: child; merge: the opposite slice
-    KeyCoverage cov;          // split: child coverage (for re-capture)
-    std::vector<std::pair<SliceId, SeqNo>> cutover;
+    KeyCoverage cov{};        // split: child coverage (for re-capture)
+    std::vector<std::pair<SliceId, SeqNo>> cutover{};
     // Merge survivor: the retiree's captured state, once shipped.
-    std::shared_ptr<const std::vector<std::byte>> state;
-    std::vector<WireEvent> log;
+    std::shared_ptr<const std::vector<std::byte>> state{};
+    std::vector<WireEvent> log{};
     bool state_ready = false;
   };
 
-  void start_next_migration();
-  void finish_migration(MigrationOutcome outcome);
-  void start_next_transition();
-  void finish_transition(bool completed);
+  using ReconfigTask = std::variant<MigrationTask, TransitionTask>;
+  [[nodiscard]] static ReconfigKind kind_of(const ReconfigTask& task);
+  // The in-flight operation if it is of that family, else nullptr.
+  [[nodiscard]] MigrationTask* current_migration() {
+    return current_ ? std::get_if<MigrationTask>(&*current_) : nullptr;
+  }
+  [[nodiscard]] TransitionTask* current_transition() {
+    return current_ ? std::get_if<TransitionTask>(&*current_) : nullptr;
+  }
+
+  void enqueue(ReconfigTask task);
+  // The dispatch loop: starts queued requests in order until one is in
+  // flight, rejecting those the cluster no longer admits.
+  void start_next();
+  // A migration that needs no protocol run: rejected when !valid, completed
+  // in place when it would not move. Returns true when the callback fired.
+  bool settle_trivial_migration(MigrationTask& task, bool valid);
+  [[nodiscard]] bool transition_admissible(const TransitionTask& task);
+  void begin_migration();
   void begin_split_transition();
   void begin_merge_transition();
+  // Stamp the kind's report, then finish_current: the shared tail that
+  // frees the slot, fires the callback and starts the next request.
+  void finish_migration(MigrationOutcome outcome);
+  void finish_transition(bool completed);
+  void finish_current();
+  // Fires the step hook for the in-flight operation; returns whether the
+  // same operation is still in flight afterwards (the hook may fail hosts
+  // and so abort or finish it re-entrantly).
+  bool fire_step(std::string_view step);
   void split_cutover();
+  // The split finishes when the child, restored on t.dst, activates.
+  void activate_split_child(const TransitionTask& t);
   // Split/merge control traffic is dispatched before the migration block in
   // on_control; returns true when the message was consumed.
   bool handle_transition_control(const net::Message* msg);
   void handle_transition_host_failure(HostId host);
+  // Hands `rt` its leg of a split/merge as recorded in `roll`; used at the
+  // cut-over and again when recovery re-drives the leg.
+  void issue_leg(SliceRuntime& rt, const RollForward& roll);
   // Re-drive the pending protocol leg of a just-recovered slice (see
   // RollForward).
   void redrive_rollforward(SliceId slice);
-  bool fire_elastic_step(std::string_view step);
   [[nodiscard]] std::vector<std::pair<SliceId, SeqNo>> capture_cut_vector(
       SliceId slice);
   [[nodiscard]] StaticConfig::OperatorInfo& mutable_op_of(SliceId slice);
+  // Coverage of `slice` under the current routing, or nullptr when it is
+  // not routed (merged away, or never deployed).
+  [[nodiscard]] const KeyCoverage* routed_coverage(SliceId slice) const;
   void handle_host_failure(HostId host);
   void after_directory_acks();
-  void broadcast_location(SliceId slice, HostId host);
+  // Tells every live host that `slice` lives on `host`. With a valid
+  // `acked_by`, each host acks to the coordinator under that operation id.
+  void broadcast_location(SliceId slice, HostId host,
+                          MigrationId acked_by = MigrationId{});
+  // Ends shadow duplication (or the park redirect) of an aborted move and
+  // re-points every host at the slice's primary.
+  void clear_shadow(SliceId slice);
   void on_control(const net::Delivery& delivery);
   void send_freeze();
-  // Fires the migration chaos hook for the current step; returns false when
-  // the hook failed a host and the migration is no longer the same one.
-  bool fire_migration_step();
   // Advance past the duplication/park round: into the first pre-copy round
   // for a pre-copying strategy, straight to the freeze otherwise.
   void advance_after_duplication();
@@ -514,15 +526,26 @@ class Engine {
   void repair_redirected_channels(SliceId slice,
                                   const std::vector<std::pair<SliceId, SeqNo>>&
                                       processed);
-  void step_after_tick(std::function<void()> fn);
+  // Re-delivers the external injections logged for `slice` above the
+  // external-channel watermark in `processed` to the slice's primary.
+  void redeliver_injections(
+      SliceId slice, const std::vector<std::pair<SliceId, SeqNo>>& processed);
+  // Runs `fn` after a random slice of the control tick, unless the
+  // migration that scheduled it has meanwhile ended or started aborting.
   void migration_step(std::function<void()> fn);
   void send_control(net::Endpoint to, net::MessagePtr msg,
                     std::size_t bytes = 96);
+  // A coordinator request (create-replica, teardown, abort-replica) for
+  // `slice` under operation `id`, acked back to the control endpoint.
+  template <typename Request>
+  void send_request(HostId host, MigrationId id, SliceId slice);
   // A reliable channel (the coordinator's or a host runtime's) exhausted
   // its retry budget toward `peer`; resolve to a HostId and escalate.
   void notify_control_give_up(net::Endpoint peer);
   [[nodiscard]] std::vector<SliceId> upstream_slices(SliceId slice) const;
   [[nodiscard]] std::vector<SliceId> downstream_slices(SliceId slice) const;
+  // DAG channels into `slice`, plus its external injection channel if any.
+  [[nodiscard]] std::size_t input_channels(SliceId slice) const;
   // Record the regenerated-stream base per consumer for a multi-input slice
   // about to recover (no-op for single-input slices, whose replay preserves
   // the original numbering).
@@ -566,15 +589,10 @@ class Engine {
   std::uint64_t splits_completed_ = 0;
   std::uint64_t merges_completed_ = 0;
 
-  std::deque<MigrationTask> migration_queue_;
-  std::optional<MigrationTask> current_migration_;
-  std::deque<TransitionTask> transition_queue_;
-  std::optional<TransitionTask> current_transition_;
+  std::deque<ReconfigTask> queue_;
+  std::optional<ReconfigTask> current_;
   std::map<SliceId, RollForward> rollforward_;
-  std::function<void(const TransitionReport&, std::string_view)>
-      elastic_step_hook_;
-  std::function<void(const MigrationReport&, std::string_view)>
-      migration_step_hook_;
+  std::function<void(ReconfigKind, std::string_view)> step_hook_;
   // Mirror-duplication wire bytes since engine start; per-migration figures
   // are differences of snapshots (migrations are serialized).
   std::size_t duplicate_bytes_total_ = 0;

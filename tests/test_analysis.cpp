@@ -136,10 +136,13 @@ TEST(SpecTables, StateNamesAlignWithRuntimeEnums) {
 TEST(SpecTables, RuntimeLegalityPredicatesDelegateToTheTables) {
   using esh::engine::MigrationStep;
   const auto& mig = esh::analysis::migration_spec();
+  const esh::engine::MigrationStrategy& paper = esh::engine::strategy_for(
+      esh::engine::MigrationStrategyKind::kBufferedReplay);
   for (std::size_t f = 0; f < mig.states().size(); ++f) {
     for (std::size_t t = 0; t < mig.states().size(); ++t) {
-      EXPECT_EQ(esh::engine::migration_transition_legal(
-                    static_cast<MigrationStep>(f), static_cast<MigrationStep>(t)),
+      EXPECT_EQ(paper.spec().legal(
+                    paper.spec_index(static_cast<MigrationStep>(f)),
+                    paper.spec_index(static_cast<MigrationStep>(t))),
                 mig.legal(f, t));
     }
   }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/iaas.hpp"
+#include "analysis/protocol_spec.hpp"
 #include "common/contracts.hpp"
 #include "elastic/enforcer.hpp"
 #include "elastic/manager.hpp"
@@ -80,32 +81,27 @@ TEST(ContractViolationTest, DetailStringifiesDomainTypes) {
 
 TEST(MigrationTransitionTest, TableEncodesProtocolOrder) {
   using Step = engine::MigrationStep;
+  const engine::MigrationStrategy& paper =
+      engine::strategy_for(engine::MigrationStrategyKind::kBufferedReplay);
+  const auto legal = [&](Step from, Step to) {
+    return paper.spec().legal(paper.spec_index(from), paper.spec_index(to));
+  };
   // The paper's migration order: create replica, duplicate, freeze+transfer,
   // update directory, tear down.
-  EXPECT_TRUE(engine::migration_transition_legal(Step::kCreateReplica,
-                                                 Step::kDuplication));
-  EXPECT_TRUE(
-      engine::migration_transition_legal(Step::kDuplication, Step::kTransfer));
-  EXPECT_TRUE(engine::migration_transition_legal(Step::kTransfer,
-                                                 Step::kDirectoryUpdate));
-  EXPECT_TRUE(engine::migration_transition_legal(Step::kDirectoryUpdate,
-                                                 Step::kTeardown));
+  EXPECT_TRUE(legal(Step::kCreateReplica, Step::kDuplication));
+  EXPECT_TRUE(legal(Step::kDuplication, Step::kTransfer));
+  EXPECT_TRUE(legal(Step::kTransfer, Step::kDirectoryUpdate));
+  EXPECT_TRUE(legal(Step::kDirectoryUpdate, Step::kTeardown));
   // Source operators with no upstream channels skip duplication.
-  EXPECT_TRUE(engine::migration_transition_legal(Step::kCreateReplica,
-                                                 Step::kTransfer));
+  EXPECT_TRUE(legal(Step::kCreateReplica, Step::kTransfer));
   // Either peer dying aborts; an ActivatedAck racing the abort means the
   // transfer won and directory convergence proceeds.
-  EXPECT_TRUE(
-      engine::migration_transition_legal(Step::kTransfer, Step::kAborting));
-  EXPECT_TRUE(engine::migration_transition_legal(Step::kAborting,
-                                                 Step::kDirectoryUpdate));
+  EXPECT_TRUE(legal(Step::kTransfer, Step::kAborting));
+  EXPECT_TRUE(legal(Step::kAborting, Step::kDirectoryUpdate));
   // Never backwards, never out of the terminal step.
-  EXPECT_FALSE(engine::migration_transition_legal(Step::kTeardown,
-                                                  Step::kDuplication));
-  EXPECT_FALSE(engine::migration_transition_legal(Step::kDirectoryUpdate,
-                                                  Step::kDuplication));
-  EXPECT_FALSE(
-      engine::migration_transition_legal(Step::kAborting, Step::kTransfer));
+  EXPECT_FALSE(legal(Step::kTeardown, Step::kDuplication));
+  EXPECT_FALSE(legal(Step::kDirectoryUpdate, Step::kDuplication));
+  EXPECT_FALSE(legal(Step::kAborting, Step::kTransfer));
 }
 
 TEST(SliceTransitionTest, TableEncodesLifecycle) {
@@ -172,8 +168,9 @@ TEST(SeededFaultTest, ClockWarpTripsEventTimeMonotonicity) {
 TEST(SeededFaultTest, IllegalMigrationTransitionThrowsStructured) {
   using Step = engine::MigrationStep;
   try {
-    engine::assert_migration_transition(MigrationId{7}, SliceId{3},
-                                        Step::kTeardown, Step::kDuplication);
+    engine::assert_migration_transition(
+        engine::strategy_for(engine::MigrationStrategyKind::kBufferedReplay),
+        MigrationId{7}, SliceId{3}, Step::kTeardown, Step::kDuplication);
     FAIL() << "illegal transition not detected";
   } catch (const ContractViolation& v) {
     EXPECT_EQ(v.kind(), Kind::kStateMachine);

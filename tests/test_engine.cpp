@@ -242,7 +242,8 @@ TEST_F(EngineTest, MigrationPreservesStateAndLosesNothing) {
   const HostId dst = hosts[2]->id();
   ASSERT_NE(src, dst);
   std::optional<MigrationReport> report;
-  engine->migrate(slice, dst, [&](const MigrationReport& r) { report = r; });
+  engine->migrate(slice, dst, MigrationStrategyKind::kBufferedReplay,
+                  [&](const MigrationReport& r) { report = r; });
   sim.run_until(sim.now() + seconds(4));
 
   ASSERT_TRUE(report.has_value());
@@ -282,7 +283,8 @@ TEST_F(EngineTest, MigrationOfStatelessEntrySlice) {
   const SliceId slice = engine->slice_id("gen", 0);
   const HostId dst = hosts[2]->id();
   std::optional<MigrationReport> report;
-  engine->migrate(slice, dst, [&](const MigrationReport& r) { report = r; });
+  engine->migrate(slice, dst, MigrationStrategyKind::kBufferedReplay,
+                  [&](const MigrationReport& r) { report = r; });
   sim.run_until(sim.now() + seconds(3));
   ASSERT_TRUE(report.has_value());
   // Stateless: tiny state, short interruption.
@@ -308,12 +310,14 @@ TEST_F(EngineTest, SequentialMigrationsQueue) {
                           ? hosts[2]->id()
                           : hosts[0]->id();
   int completed = 0;
-  engine->migrate(w0, dst0, [&](const MigrationReport&) { ++completed; });
-  engine->migrate(w1, dst1, [&](const MigrationReport&) { ++completed; });
-  EXPECT_EQ(engine->pending_migrations(), 2u);
+  engine->migrate(w0, dst0, MigrationStrategyKind::kBufferedReplay,
+                  [&](const MigrationReport&) { ++completed; });
+  engine->migrate(w1, dst1, MigrationStrategyKind::kBufferedReplay,
+                  [&](const MigrationReport&) { ++completed; });
+  EXPECT_EQ(engine->pending_reconfigs(), 2u);
   sim.run_until(sim.now() + seconds(5));
   EXPECT_EQ(completed, 2);
-  EXPECT_EQ(engine->pending_migrations(), 0u);
+  EXPECT_EQ(engine->pending_reconfigs(), 0u);
   EXPECT_EQ(engine->slice_host(w0), dst0);
   EXPECT_EQ(engine->slice_host(w1), dst1);
   ASSERT_EQ(collected->size(), 100u);
@@ -326,10 +330,11 @@ TEST_F(EngineTest, MigrateToSameHostIsImmediate) {
   const SliceId slice = engine->slice_id("work", 0);
   const HostId host = engine->slice_host(slice);
   bool done = false;
-  engine->migrate(slice, host, [&](const MigrationReport& r) {
-    done = true;
-    EXPECT_EQ(r.total_duration(), SimDuration::zero());
-  });
+  engine->migrate(slice, host, MigrationStrategyKind::kBufferedReplay,
+                  [&](const MigrationReport& r) {
+                    done = true;
+                    EXPECT_EQ(r.total_duration(), SimDuration::zero());
+                  });
   EXPECT_TRUE(done);
 }
 
@@ -340,17 +345,19 @@ TEST_F(EngineTest, MigrationValidation) {
   // Invalid requests are rejected through the callback, not by throwing.
   std::vector<MigrationOutcome> outcomes;
   engine->migrate(SliceId{12345}, hosts[0]->id(),
+                  MigrationStrategyKind::kBufferedReplay,
                   [&](const MigrationReport& r) {
                     outcomes.push_back(r.outcome);
                   });
   engine->migrate(engine->slice_id("work", 0), HostId{777},
+                  MigrationStrategyKind::kBufferedReplay,
                   [&](const MigrationReport& r) {
                     outcomes.push_back(r.outcome);
                   });
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0], MigrationOutcome::kRejected);
   EXPECT_EQ(outcomes[1], MigrationOutcome::kRejected);
-  EXPECT_EQ(engine->pending_migrations(), 0u);
+  EXPECT_EQ(engine->pending_reconfigs(), 0u);
 
   // The engine stays fully usable: a valid migration still completes.
   const SliceId slice = engine->slice_id("work", 0);
@@ -358,7 +365,8 @@ TEST_F(EngineTest, MigrationValidation) {
                          ? hosts[1]->id()
                          : hosts[0]->id();
   std::optional<MigrationReport> report;
-  engine->migrate(slice, dst, [&](const MigrationReport& r) { report = r; });
+  engine->migrate(slice, dst, MigrationStrategyKind::kBufferedReplay,
+                  [&](const MigrationReport& r) { report = r; });
   sim.run_until(sim.now() + seconds(5));
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->outcome, MigrationOutcome::kCompleted);
@@ -375,7 +383,8 @@ TEST_F(EngineTest, InjectionAfterMigrationFollowsSlice) {
   const SliceId slice = engine->slice_id("solo", 0);
   engine->inject("solo", 0, std::make_shared<NumPayload>(1));
   sim.run_until(sim.now() + millis(100));
-  engine->migrate(slice, hosts[1]->id(), nullptr);
+  engine->migrate(slice, hosts[1]->id(), MigrationStrategyKind::kBufferedReplay,
+                  nullptr);
   sim.run_until(sim.now() + seconds(3));
   engine->inject("solo", 0, std::make_shared<NumPayload>(2));
   sim.run_until(sim.now() + millis(100));
@@ -423,7 +432,8 @@ TEST_F(EngineTest, RemoveHostRequiresEmpty) {
   // Host 3 may or may not hold slices depending on spreading; find one with
   // slices and one without by moving everything off host 3 first.
   for (SliceId slice : engine->slices_on(hosts[2]->id())) {
-    engine->migrate(slice, hosts[0]->id(), nullptr);
+    engine->migrate(slice, hosts[0]->id(),
+                    MigrationStrategyKind::kBufferedReplay, nullptr);
   }
   sim.run_until(sim.now() + seconds(10));
   EXPECT_TRUE(engine->slices_on(hosts[2]->id()).empty());
@@ -459,10 +469,10 @@ TEST_P(EngineStormTest, ExactlyOnceUnderRandomMigrations) {
       if (engine->slice_host(slice) == dst) {
         dst = hosts[(host_index + 1) % hosts.size()]->id();
       }
-      engine->migrate(slice, dst, [&completed_migrations](
-                                      const MigrationReport&) {
-        ++completed_migrations;
-      });
+      engine->migrate(slice, dst, MigrationStrategyKind::kBufferedReplay,
+                      [&completed_migrations](const MigrationReport&) {
+                        ++completed_migrations;
+                      });
     });
   }
   sim.run_until(sim.now() + seconds(40));

@@ -71,6 +71,7 @@ TEST(Integration, ManualMigrationUnderLoadKeepsDelaysBounded) {
   const SliceId m0 = bed.hub().slices_of("M")[0];
   std::optional<engine::MigrationReport> report;
   bed.engine().migrate(m0, new_host,
+                       engine::MigrationStrategyKind::kBufferedReplay,
                        [&](const engine::MigrationReport& r) { report = r; });
   const bool done = bed.run_until([&] { return report.has_value(); },
                                   seconds(30));

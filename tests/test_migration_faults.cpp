@@ -164,6 +164,7 @@ TEST(MigrationFaults, DestinationCrashAtEveryStep) {
     const HostId dst = rig.hosts[4]->id();
     std::vector<MigrationReport> reports;
     rig.engine->migrate(slice, dst,
+                        MigrationStrategyKind::kBufferedReplay,
                         [&](const MigrationReport& r) { reports.push_back(r); });
     rig.sim.schedule(offset, [&] { rig.engine->fail_host(dst); });
     rig.sim.run_until(rig.sim.now() + seconds(5));
@@ -173,7 +174,7 @@ TEST(MigrationFaults, DestinationCrashAtEveryStep) {
     EXPECT_TRUE(report.outcome == MigrationOutcome::kAbortedDstFailed ||
                 report.outcome == MigrationOutcome::kCompleted)
         << "offset " << offset.count();
-    EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+    EXPECT_EQ(rig.engine->pending_reconfigs(), 0u);
 
     // The slice either kept running on the source, or was lost (state
     // shipped to the dead host / completed onto it) and recovery places it.
@@ -193,6 +194,7 @@ TEST(MigrationFaults, DestinationCrashAtEveryStep) {
     const SliceId other = rig.engine->slice_id("work", 1);
     std::optional<MigrationReport> follow_up;
     rig.engine->migrate(other, rig.hosts[0]->id(),
+                        MigrationStrategyKind::kBufferedReplay,
                         [&](const MigrationReport& r) { follow_up = r; });
     rig.sim.run_until(rig.sim.now() + seconds(5));
     ASSERT_TRUE(follow_up.has_value()) << "offset " << offset.count();
@@ -213,6 +215,7 @@ TEST(MigrationFaults, SourceCrashAtEveryStep) {
     const HostId dst = rig.hosts[4]->id();
     std::vector<MigrationReport> reports;
     rig.engine->migrate(slice, dst,
+                        MigrationStrategyKind::kBufferedReplay,
                         [&](const MigrationReport& r) { reports.push_back(r); });
     rig.sim.schedule(offset, [&] { rig.engine->fail_host(src); });
     rig.sim.run_until(rig.sim.now() + seconds(5));
@@ -222,7 +225,7 @@ TEST(MigrationFaults, SourceCrashAtEveryStep) {
     EXPECT_TRUE(report.outcome == MigrationOutcome::kAbortedSrcFailed ||
                 report.outcome == MigrationOutcome::kCompleted)
         << "offset " << offset.count();
-    EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+    EXPECT_EQ(rig.engine->pending_reconfigs(), 0u);
 
     if (rig.engine->slice_lost(slice)) {
       bool recovered = false;
@@ -240,6 +243,7 @@ TEST(MigrationFaults, SourceCrashAtEveryStep) {
     const SliceId other = rig.engine->slice_id("work", 1);
     std::optional<MigrationReport> follow_up;
     rig.engine->migrate(other, rig.hosts[3]->id(),
+                        MigrationStrategyKind::kBufferedReplay,
                         [&](const MigrationReport& r) { follow_up = r; });
     rig.sim.run_until(rig.sim.now() + seconds(5));
     ASSERT_TRUE(follow_up.has_value()) << "offset " << offset.count();
@@ -256,10 +260,12 @@ TEST(MigrationFaults, QueuedMigrationSurvivesAbortOfCurrent) {
   const SliceId second = rig.engine->slice_id("work", 1);
   const HostId dst = rig.hosts[4]->id();
   std::vector<MigrationOutcome> outcomes;
-  rig.engine->migrate(first, dst, [&](const MigrationReport& r) {
-    outcomes.push_back(r.outcome);
-  });
+  rig.engine->migrate(first, dst, MigrationStrategyKind::kBufferedReplay,
+                      [&](const MigrationReport& r) {
+                        outcomes.push_back(r.outcome);
+                      });
   rig.engine->migrate(second, rig.hosts[0]->id(),
+                      MigrationStrategyKind::kBufferedReplay,
                       [&](const MigrationReport& r) {
                         outcomes.push_back(r.outcome);
                       });
@@ -272,7 +278,7 @@ TEST(MigrationFaults, QueuedMigrationSurvivesAbortOfCurrent) {
   EXPECT_NE(outcomes[0], MigrationOutcome::kRejected);
   EXPECT_EQ(outcomes[1], MigrationOutcome::kCompleted);
   EXPECT_EQ(rig.engine->slice_host(second), rig.hosts[0]->id());
-  EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+  EXPECT_EQ(rig.engine->pending_reconfigs(), 0u);
 }
 
 TEST(MigrationFaults, QueuedMigrationToDeadHostIsRejected) {
@@ -286,19 +292,21 @@ TEST(MigrationFaults, QueuedMigrationToDeadHostIsRejected) {
   std::vector<MigrationOutcome> outcomes;
   // Both moves target host5; it dies while the first is in flight, so the
   // queued second must be rejected at start instead of wedging the queue.
-  rig.engine->migrate(first, dst, [&](const MigrationReport& r) {
-    outcomes.push_back(r.outcome);
-  });
-  rig.engine->migrate(second, dst, [&](const MigrationReport& r) {
-    outcomes.push_back(r.outcome);
-  });
+  rig.engine->migrate(first, dst, MigrationStrategyKind::kBufferedReplay,
+                      [&](const MigrationReport& r) {
+                        outcomes.push_back(r.outcome);
+                      });
+  rig.engine->migrate(second, dst, MigrationStrategyKind::kBufferedReplay,
+                      [&](const MigrationReport& r) {
+                        outcomes.push_back(r.outcome);
+                      });
   rig.sim.schedule(millis(10), [&] { rig.engine->fail_host(dst); });
   rig.sim.run_until(rig.sim.now() + seconds(10));
 
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_NE(outcomes[0], MigrationOutcome::kRejected);
   EXPECT_EQ(outcomes[1], MigrationOutcome::kRejected);
-  EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+  EXPECT_EQ(rig.engine->pending_reconfigs(), 0u);
 }
 
 }  // namespace

@@ -156,10 +156,12 @@ TEST(ParallelPipelineTest, ByteIdenticalUnderSliceMigration) {
           break;
         }
       }
-      bed.engine().migrate(slice, dst, [&migrations_done](const auto& report) {
-        EXPECT_EQ(report.outcome, engine::MigrationOutcome::kCompleted);
-        ++migrations_done;
-      });
+      bed.engine().migrate(
+          slice, dst, engine::MigrationStrategyKind::kBufferedReplay,
+          [&migrations_done](const auto& report) {
+            EXPECT_EQ(report.outcome, engine::MigrationOutcome::kCompleted);
+            ++migrations_done;
+          });
     }
     EXPECT_TRUE(bed.run_until([&] { return migrations_done == 2; },
                               seconds(30)));
