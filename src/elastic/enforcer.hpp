@@ -106,10 +106,11 @@ struct MigrationPlan {
     // set (hosts are allocated by the manager before executing moves).
     HostId dst;
     std::optional<std::size_t> new_host_index;
-    // Migration protocol for this move plus the view signals it was derived
-    // from, stamped by Enforcer::evaluate. The manager re-derives the choice
-    // from the same signals before executing (the elastic/
-    // strategy-selection-deterministic invariant).
+    // Migration protocol for this move plus the probed signals it was
+    // derived from. Policies need not set them: the manager stamps every
+    // move of every plan it executes, whichever policy built it, and
+    // re-derives the choice from the same signals before executing (the
+    // elastic/strategy-selection-deterministic invariant).
     engine::MigrationStrategyKind strategy =
         engine::MigrationStrategyKind::kBufferedReplay;
     std::size_t state_bytes = 0;
@@ -148,8 +149,8 @@ const char* to_string(MigrationPlan::Reason r);
 // Pure strategy choice from a slice's probed signals: small state ->
 // stop-and-restart (fewest bytes), hot slice -> incremental pre-copy
 // (shortest stop), otherwise the paper's buffered replay. Deterministic in
-// its arguments by construction; the manager re-derives it at execution
-// time and cross-checks against the plan.
+// its arguments by construction; the manager stamps each planned move with
+// it and re-derives it at execution time to cross-check the plan.
 [[nodiscard]] engine::MigrationStrategyKind select_strategy(
     const PolicyConfig& policy, std::size_t state_bytes, double cpu);
 

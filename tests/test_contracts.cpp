@@ -684,8 +684,7 @@ TEST(SeededFaultTest, ResurrectedSourceTripsStopRestartDualActive) {
   }
 }
 
-// The enforcer's protocol choice is a pure function of the signals the plan
-// records; a plan whose stamped strategy disagrees with its own signals must
+// The protocol choice is a pure function of the signals the plan records; a plan whose stamped strategy disagrees with its own signals must
 // be rejected by the manager before the migration starts.
 TEST(SeededFaultTest, CorruptStrategyPlanTripsSelectionDeterminism) {
   auto config = strategy_rig_config();
@@ -697,22 +696,15 @@ TEST(SeededFaultTest, CorruptStrategyPlanTripsSelectionDeterminism) {
   bed.store_subscriptions(50);
   const StrategyMove mv = pick_m_move(bed);
 
-  // Replace the policy with a single hand-built move whose strategy is
-  // stamped exactly as select_strategy derives it from the recorded
-  // signals; only the seeded corruption below makes them disagree.
+  // Replace the policy with a single hand-built move. The manager stamps
+  // its strategy from the slice's probed signals; only the seeded
+  // corruption below makes the plan and its signals disagree.
   manager.set_policy([&](const elastic::SystemView& view) {
     elastic::MigrationPlan plan;
     for (const elastic::SliceView& sv : view.slices) {
       if (sv.slice != mv.slice) continue;
       plan.reason = elastic::MigrationPlan::Reason::kLocalHigh;
-      elastic::MigrationPlan::Move move;
-      move.slice = sv.slice;
-      move.dst = mv.dst;
-      move.state_bytes = sv.state_bytes;
-      move.cpu = sv.cpu;
-      move.strategy = elastic::select_strategy(manager.enforcer().config(),
-                                               sv.state_bytes, sv.cpu);
-      plan.moves.push_back(move);
+      plan.moves.push_back(elastic::MigrationPlan::Move{sv.slice, mv.dst, {}});
     }
     return plan;
   });

@@ -400,12 +400,7 @@ TEST_F(SelfHealingTest, MidPlanDestinationCrashAbandonsMoveAndFinishesPlan) {
   bool crashed = false;
   MigrationPlan plan;
   plan.reason = MigrationPlan::Reason::kLocalHigh;
-  MigrationPlan::Move move{moving, hosts[2], std::nullopt};
-  // Stamp the protocol the manager re-derives from the move's recorded
-  // signals, as Enforcer::evaluate does for the plans it builds.
-  move.strategy = select_strategy(manager->enforcer().config(),
-                                  move.state_bytes, move.cpu);
-  plan.moves.push_back(move);
+  plan.moves.push_back(MigrationPlan::Move{moving, hosts[2], std::nullopt});
   manager->set_policy([&](const SystemView&) {
     MigrationPlan p;
     if (!crashed) p = plan;
