@@ -10,7 +10,9 @@
 #                    skipped with a notice when clang-tidy is not installed
 #   ci.sh chaos      fault-injection suites (chaos schedules, reliable
 #                    channel, adversarial network, recovery contracts,
-#                    reconfiguration golden pin and request order)
+#                    reconfiguration golden pin and request order,
+#                    self-healing recovery and drain, manager golden pin
+#                    and manager plan tests)
 #                    under -DESH_CHECK_INVARIANTS=ON, then again under
 #                    ASan and TSan via scripts/run_sanitized.sh
 #   ci.sh analysis   bounded model checking of the migration/split/merge/
@@ -59,11 +61,12 @@ stage_lint() {
 # Robustness gate: the chaos schedules (crash + partition + gray + storm
 # faults), the split/merge torture suite, the migration-strategy differential
 # and torture suites, the reconfiguration coordinator's golden pin and
-# request-order tests, the reliable control channel, the adversarial network
-# tests, the interval-index determinism tests, and the match-oracle tests
-# (its memo is shared across pool threads) must pass with every invariant
-# live, and stay clean under ASan and TSan.
-CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|Reconfig'
+# request-order tests, the manager's self-healing (recovery and drain)
+# tests, golden pin and plan tests, the reliable control channel, the
+# adversarial network tests, the interval-index determinism tests, and the
+# match-oracle tests (its memo is shared across pool threads) must pass with
+# every invariant live, and stay clean under ASan and TSan.
+CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|Reconfig|SelfHealing|ManagerGolden|ManagerPlan'
 
 stage_chaos() {
   local dir=${BUILD_DIR:-build-ci-chaos}
