@@ -48,9 +48,7 @@ void BM_FirstFitPlacement(benchmark::State& state) {
     bins.push_back(HostView{HostId{h + 1}, rng.uniform(0.0, 0.45)});
   }
   for (auto _ : state) {
-    std::size_t used = 0;
-    benchmark::DoNotOptimize(
-        first_fit_place(moving, bins, 0.5, 8, &used));
+    benchmark::DoNotOptimize(first_fit_place(moving, bins, 0.5, 8));
   }
 }
 BENCHMARK(BM_FirstFitPlacement)->RangeMultiplier(2)->Range(8, 256);
@@ -112,9 +110,7 @@ void report_quality() {
   for (int trial = 0; trial < 200; ++trial) {
     auto moving = random_slices(24, rng);
     std::vector<HostView> bins;  // empty cluster: pure packing quality
-    std::size_t used = 0;
-    (void)first_fit_place(moving, bins, 0.5, 64, &used);
-    ffd_bins += used;
+    ffd_bins += new_hosts_of(first_fit_place(moving, bins, 0.5, 64));
 
     // Arrival order (no sort): simulate by assigning sequentially.
     std::vector<double> loads;

@@ -109,8 +109,6 @@ void Host::start_job(SliceId slice, Job job) {
   const std::uint64_t job_id = next_job_id_++;
   const SimDuration duration = job_duration(job.cost_units);
   running_[job_id] = {simulator_.now(), slice};
-  running_cost_[job_id] =
-      static_cast<double>(duration.count());  // busy core-us of this job
   const LockMode mode = job.mode;
   simulator_.schedule(
       duration,
@@ -126,7 +124,6 @@ void Host::start_job(SliceId slice, Job job) {
                           .actual(free_cores_)
                           .note("job completion released a core twice"));
         running_.erase(job_id);
-        running_cost_.erase(job_id);
         auto& sched = slices_[slice];
         if (mode == LockMode::kRead) --sched.running_read;
         if (mode == LockMode::kWrite) sched.running_write = false;

@@ -90,7 +90,6 @@ class Host {
     int running_read = 0;
     bool running_write = false;
     double busy_core_us = 0.0;
-    double running_started_units = 0.0;  // helper for live accounting
   };
 
   void dispatch();
@@ -109,9 +108,8 @@ class Host {
   // Round-robin order of slices with queued work (no duplicates).
   std::list<SliceId> ready_;
   std::unordered_map<SliceId, bool> in_ready_;
-  // Live accounting of running jobs: (start time, cost) per running job id.
+  // Live accounting of running jobs: (start time, slice) per running job id.
   std::unordered_map<std::uint64_t, std::pair<SimTime, SliceId>> running_;
-  std::unordered_map<std::uint64_t, double> running_cost_;
   std::uint64_t next_job_id_ = 1;
 };
 

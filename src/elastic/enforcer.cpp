@@ -139,7 +139,7 @@ std::vector<std::size_t> select_slices_min_state(
 
 std::vector<MigrationPlan::Move> first_fit_place(
     std::vector<SliceView> moving, std::vector<HostView> bins, double cap,
-    std::size_t extra_bins, std::size_t* bins_used) {
+    std::size_t extra_bins) {
   // First Fit Decreasing: heaviest slices first (paper §V, [12]).
   std::sort(moving.begin(), moving.end(),
             [](const SliceView& a, const SliceView& b) {
@@ -176,14 +176,17 @@ std::vector<MigrationPlan::Move> first_fit_place(
           MigrationPlan::Move{slice.slice, HostId{}, new_bin_load.size() - 1});
     }
   }
-  if (bins_used != nullptr) {
-    std::size_t used = 0;
-    for (double load : new_bin_load) {
-      if (load > 0.0) ++used;
-    }
-    *bins_used = used;
-  }
   return moves;
+}
+
+std::size_t new_hosts_of(const std::vector<MigrationPlan::Move>& moves) {
+  std::size_t hosts = 0;
+  for (const MigrationPlan::Move& mv : moves) {
+    if (mv.new_host_index.has_value()) {
+      hosts = std::max(hosts, *mv.new_host_index + 1);
+    }
+  }
+  return hosts;
 }
 
 Enforcer::Enforcer(PolicyConfig config) : config_(config) {
@@ -279,10 +282,9 @@ MigrationPlan Enforcer::scale_out(const SystemView& view) const {
     bins.push_back(HostView{host.host, std::max(0.0, load)});
   }
   std::sort(bins.begin(), bins.end(), fuller);
-  std::size_t bins_used = 0;
   plan.moves = first_fit_place(std::move(moving), std::move(bins),
-                               config_.placement_cap, extra, &bins_used);
-  plan.new_hosts = bins_used;
+                               config_.placement_cap, extra);
+  plan.new_hosts = new_hosts_of(plan.moves);
   if (plan.moves.empty()) return MigrationPlan{};
   return plan;
 }
@@ -319,17 +321,11 @@ MigrationPlan Enforcer::scale_in(const SystemView& view) const {
   for (std::size_t r = 0; r < to_release; ++r) {
     const HostId victim = by_load[r].host;
     std::vector<SliceView> moving = by_host[victim];
-    std::size_t bins_used = 0;
-    auto moves =
-        first_fit_place(std::move(moving), bins, config_.placement_cap,
-                        /*extra_bins=*/0, &bins_used);
+    auto moves = first_fit_place(std::move(moving), bins,
+                                 config_.placement_cap, /*extra_bins=*/0);
     // Releasing must not allocate: if anything spilled to a new bin, this
     // host cannot be emptied; stop releasing further hosts.
-    bool spilled = false;
-    for (const auto& mv : moves) {
-      if (mv.new_host_index.has_value()) spilled = true;
-    }
-    if (spilled) break;
+    if (new_hosts_of(moves) > 0) break;
     // Commit: update bin loads and the plan.
     for (const auto& mv : moves) {
       for (HostView& bin : bins) {
@@ -418,16 +414,10 @@ MigrationPlan Enforcer::local_rebalance(const SystemView& view) const {
 
     MigrationPlan plan;
     plan.reason = MigrationPlan::Reason::kLocalHigh;
-    std::size_t bins_used = 0;
-    plan.moves =
-        first_fit_place(std::move(moving), bins_except(view, host.host),
-                        config_.placement_cap, 0, &bins_used);
-    plan.new_hosts = 0;
-    for (auto& mv : plan.moves) {
-      if (mv.new_host_index.has_value()) {
-        plan.new_hosts = std::max(plan.new_hosts, *mv.new_host_index + 1);
-      }
-    }
+    plan.moves = first_fit_place(std::move(moving),
+                                 bins_except(view, host.host),
+                                 config_.placement_cap, 0);
+    plan.new_hosts = new_hosts_of(plan.moves);
     if (!plan.moves.empty()) return plan;
   }
 
@@ -435,15 +425,11 @@ MigrationPlan Enforcer::local_rebalance(const SystemView& view) const {
   if (view.hosts.size() > config_.min_hosts) {
     for (const HostView& host : view.hosts) {
       if (host.cpu >= config_.local_low) continue;
-      std::size_t bins_used = 0;
       auto moves = first_fit_place(by_host[host.host],
                                    bins_except(view, host.host),
-                                   config_.placement_cap, 0, &bins_used);
-      bool spilled = false;
-      for (const auto& mv : moves) {
-        if (mv.new_host_index.has_value()) spilled = true;
-      }
-      if (spilled) continue;  // cannot empty this host without a new one
+                                   config_.placement_cap, 0);
+      // Cannot empty this host without a new one.
+      if (new_hosts_of(moves) > 0) continue;
       MigrationPlan plan;
       plan.reason = MigrationPlan::Reason::kLocalLow;
       plan.moves = std::move(moves);

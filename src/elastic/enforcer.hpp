@@ -167,7 +167,13 @@ std::vector<std::size_t> select_slices_min_state(
 // use new_host_index; slices that fit nowhere get additional new bins.
 std::vector<MigrationPlan::Move> first_fit_place(
     std::vector<SliceView> moving, std::vector<HostView> bins, double cap,
-    std::size_t extra_bins, std::size_t* bins_used);
+    std::size_t extra_bins);
+
+// New hosts a plan's moves name: the highest new_host_index + 1, or 0. A
+// slice above `cap` opens a bin past the `extra_bins` ones, which then stay
+// empty, so this can exceed the number of bins that received load.
+[[nodiscard]] std::size_t new_hosts_of(
+    const std::vector<MigrationPlan::Move>& moves);
 
 class Enforcer {
  public:

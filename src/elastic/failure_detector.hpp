@@ -99,6 +99,12 @@ class FailureDetector {
   // a promoted standby). Does not fire callbacks: the caller already knows.
   void mark_dead(HostId host);
 
+  // Forgets every watched host and its verdict (events() keeps the
+  // history). A manager that loses leadership stops hearing the probes; it
+  // must not convict the hosts its successor watches, and if promoted
+  // again it re-watches the fleet and re-reads the inherited verdicts.
+  void reset() { watched_.clear(); }
+
   [[nodiscard]] HostHealth health(HostId host) const;
   [[nodiscard]] bool watching(HostId host) const;
   [[nodiscard]] std::vector<HostId> dead_hosts() const;

@@ -52,7 +52,10 @@ Manager::Manager(sim::Simulator& simulator, net::Network& network,
     election_ = std::make_unique<coord::LeaderElection>(
         *coord_client_, config_.coord_root + "/manager-election",
         [this](bool leader) {
-          if (!leader) return;
+          if (!leader) {
+            if (detector_) detector_->reset();
+            return;
+          }
           // Promotion: recover the current managed set (minus any host the
           // previous manager declared dead) and pull the probe stream to
           // this instance.
@@ -105,8 +108,9 @@ void Manager::enter_standby() {
   if (!election_) {
     throw std::logic_error{"enter_standby requires use_leader_election"};
   }
-  if (started_) {
-    throw std::logic_error{"enter_standby: already started"};
+  // A fresh instance joins as a hot standby; one that resigned may rejoin.
+  if (election_->entered()) {
+    throw std::logic_error{"enter_standby: already in the election"};
   }
   started_ = true;
   election_->enter();
@@ -856,9 +860,8 @@ std::vector<MigrationPlan::Move> Manager::place_elsewhere(
     if (survivor == host) continue;
     bins.push_back(HostView{survivor, probed_cpu(survivor)});
   }
-  std::size_t bins_used = 0;
   return first_fit_place(std::move(moving), std::move(bins),
-                         enforcer_.config().placement_cap, 0, &bins_used);
+                         enforcer_.config().placement_cap, 0);
 }
 
 double Manager::probed_cpu(HostId host) const {

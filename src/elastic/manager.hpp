@@ -132,11 +132,11 @@ class Manager {
   // Hot-standby path (requires use_leader_election): joins the election
   // without touching the system; on promotion it recovers the managed host
   // set from the coordination tree, redirects probes to itself, and starts
-  // enforcing.
+  // enforcing. An instance that resigned may rejoin this way.
   void enter_standby();
 
-  // Steps down from leadership (the next contender takes over). No-op
-  // without leader election.
+  // Steps down from leadership (the next contender takes over) and stops
+  // judging host health. No-op without leader election.
   void resign();
 
   // True when this instance may act (leader, or no election configured).

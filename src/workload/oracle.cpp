@@ -8,7 +8,10 @@
 namespace esh::workload {
 
 namespace {
-constexpr std::size_t kOracleCacheCapacity = 2048;
+// Backstop of the release-on-last-read memo. The elastic Fig. 9 surge
+// leaves its lagging M slices up to ~3,500 publications behind the leading
+// one; every partition they still have to read must stay cached.
+constexpr std::size_t kOracleMemoBound = 4096;
 // Sampler scratch, one per thread: the oracle is shared across pool threads.
 thread_local std::vector<std::uint64_t> sample_bits;
 }  // namespace
@@ -41,6 +44,7 @@ MatchOracle::MatchOracle(OracleParams params) : params_(params) {
 
 template <typename Emit>
 void MatchOracle::sample(PublicationId pub, Emit&& emit) const {
+  samples_drawn_.fetch_add(1, std::memory_order_relaxed);
   Rng rng{params_.seed ^ (pub.value() * 0x9e3779b97f4a7c15ULL + 11)};
   const std::uint64_t n = params_.total_subscriptions;
   const double expected = static_cast<double>(n) * params_.matching_rate;
@@ -131,11 +135,18 @@ ChurnStream::Event ChurnStream::next() {
   return Event{false, index};
 }
 
+std::shared_ptr<const MatchOracle::Partition> MatchOracle::read_memo(
+    std::map<PublicationId, MemoEntry>::iterator it) const {
+  std::shared_ptr<const Partition> partition = it->second.partition;
+  if (++it->second.reads >= params_.m_slices) cache_.erase(it);
+  return partition;
+}
+
 std::shared_ptr<const MatchOracle::Partition> MatchOracle::partitioned_matches(
     PublicationId pub) const {
   {
     const std::lock_guard lock{cache_mutex_};
-    if (auto it = cache_.find(pub); it != cache_.end()) return it->second;
+    if (auto it = cache_.find(pub); it != cache_.end()) return read_memo(it);
   }
   const std::size_t m = params_.m_slices;
   auto partition = std::make_shared<Partition>(m);
@@ -149,16 +160,13 @@ std::shared_ptr<const MatchOracle::Partition> MatchOracle::partitioned_matches(
   });
 
   const std::lock_guard lock{cache_mutex_};
-  const auto [it, inserted] = cache_.emplace(pub, std::move(partition));
-  std::shared_ptr<const Partition> result = it->second;
-  if (inserted) {
-    cache_order_.push_back(pub);
-    while (cache_order_.size() > kOracleCacheCapacity) {
-      cache_.erase(cache_order_.front());
-      cache_order_.pop_front();
-    }
+  auto it = cache_.find(pub);
+  if (it == cache_.end()) {
+    if (cache_.size() >= kOracleMemoBound) cache_.erase(cache_.begin());
+    it = cache_.emplace(pub, MemoEntry{std::move(partition)}).first;
+    cache_peak_ = std::max(cache_peak_, cache_.size());
   }
-  return result;
+  return read_memo(it);
 }
 
 OracleMatcher::OracleMatcher(std::shared_ptr<const MatchOracle> oracle,
@@ -191,7 +199,9 @@ filter::MatchOutcome OracleMatcher::match(const filter::AnyPublication& pub) {
   if (slice_index_ < oracle_->params().m_slices) {
     // A deploy-time slice's store never leaves its own bucket: splits and
     // merges only shuffle state within one bucket lineage.
-    scan((*partition)[slice_index_]);
+    const auto& own = (*partition)[slice_index_];
+    out.subscribers.reserve(own.size());
+    scan(own);
   } else {
     // Split child: its bucket comes from the parent lineage, which the
     // matcher does not know. Scan every bucket; subs_ filters the rest.

@@ -17,11 +17,11 @@
 // micro benchmarks; DESIGN.md documents this substitution.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cost_model.hpp"
@@ -107,6 +107,17 @@ class MatchOracle {
 
   [[nodiscard]] const OracleParams& params() const { return params_; }
 
+  // Match sets sampled so far, by matches() and by memo misses of
+  // partitioned_matches().
+  [[nodiscard]] std::uint64_t samples_drawn() const {
+    return samples_drawn_.load(std::memory_order_relaxed);
+  }
+  // Most partitions the memo has held at once.
+  [[nodiscard]] std::size_t memo_peak() const {
+    const std::lock_guard lock{cache_mutex_};
+    return cache_peak_;
+  }
+
  private:
   // Samples the match set of `pub` and calls emit(index) for each sampled
   // index in ascending order.
@@ -117,13 +128,27 @@ class MatchOracle {
   // Cumulative Zipf weights over [0, total_subscriptions); empty when
   // zipf_exponent == 0 (uniform sampling, the historical path).
   std::vector<double> zipf_cum_;
-  // Bounded FIFO memo of partitioned_matches. Sampling runs outside the
+  // Memo of partitioned_matches, released on last read: each entry counts
+  // its reads and is dropped on the m_slices-th, once every deploy-time
+  // slice has read it. A backstop bound evicts the lowest publication id,
+  // so reads that never reach m_slices (replays, merged fans, slices that
+  // stop reading) cannot grow it without bound. A read after release
+  // re-samples the same deterministic partition. Sampling runs outside the
   // lock; when two threads sample the same publication, the first insert
-  // wins (both results are equal).
+  // wins (both results are equal) and both reads count.
+  struct MemoEntry {
+    std::shared_ptr<const Partition> partition;
+    std::size_t reads = 0;
+  };
+  // Counts one read of `it` and releases it on the last; returns the
+  // partition. Caller holds cache_mutex_.
+  std::shared_ptr<const Partition> read_memo(
+      std::map<PublicationId, MemoEntry>::iterator it) const;
+
   mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<PublicationId, std::shared_ptr<const Partition>>
-      cache_;
-  mutable std::deque<PublicationId> cache_order_;
+  mutable std::map<PublicationId, MemoEntry> cache_;
+  mutable std::size_t cache_peak_ = 0;
+  mutable std::atomic<std::uint64_t> samples_drawn_{0};
 };
 
 // Deterministic subscribe/unsubscribe stream over the churning fringe

@@ -336,6 +336,60 @@ TEST(ChaosTest, PromotedStandbyHealsCrashAfterManagerFailover) {
       << " mismatched=" << audit.mismatched;
 }
 
+// The leader resigns and stays out long enough to have convicted every
+// host it no longer hears, then rejoins and is promoted again when its
+// successor resigns: it must watch the fleet afresh and recover the next
+// worker crash itself.
+TEST(ChaosTest, RePromotedManagerHealsCrash) {
+  auto config = chaos_config();
+  config.manager.use_leader_election = true;
+  Testbed bed{config};
+  elastic::Manager& first = *bed.manager();
+  first.set_enforcement(false);
+  bed.delays().enable_audit();
+
+  elastic::Manager second{bed.simulator(), bed.network(), bed.engine(),
+                          bed.pool(),      bed.coord(),   bed.manager_host(),
+                          config.manager};
+  second.set_enforcement(false);
+  second.enter_standby();
+  bed.store_subscriptions(1000);
+
+  first.resign();
+  // Twenty probe intervals: far past dead_after, were anyone still judging.
+  bed.run_for(seconds(2));
+  ASSERT_TRUE(second.is_active());
+  EXPECT_TRUE(first.failure_detector()->dead_hosts().empty());
+  first.enter_standby();
+  second.resign();
+  ASSERT_TRUE(bed.run_until([&] { return first.is_active(); }, seconds(5)));
+
+  auto driver =
+      bed.drive(std::make_shared<workload::ConstantRate>(150.0, seconds(4)));
+  FaultSchedule schedule;
+  schedule.crashes.push_back(
+      {bed.simulator().now() + seconds(1), 0, 0.0, {}});
+  ChaosRunner chaos{bed, schedule};
+  chaos.arm();
+  bed.run_for(seconds(4) + millis(10));
+  driver->stop();
+
+  await_heal(bed, first, 1);
+  await_drain(bed);
+
+  EXPECT_TRUE(first.is_active());
+  EXPECT_TRUE(second.recoveries().empty());
+  ASSERT_EQ(first.recoveries().size(), 1u);
+  EXPECT_TRUE(first.recoveries().front().complete);
+  EXPECT_EQ(first.recoveries().front().host, chaos.crashed().front());
+
+  const auto audit = verify_exactly_once(bed);
+  EXPECT_TRUE(audit.exactly_once())
+      << "published=" << audit.published << " missing=" << audit.missing
+      << " duplicated=" << audit.duplicated
+      << " mismatched=" << audit.mismatched;
+}
+
 // ---- combined adversarial schedule -----------------------------------------
 
 // Everything downstream consumers observe, plus the injection and reliable
@@ -1700,6 +1754,36 @@ TEST(ManagerGoldenTest, CrashRecoveryThenRestartUnchanged) {
 }
 
 // ---- manager plans -----------------------------------------------------------
+
+// M slices at about 0.009 CPU exceed a placement cap of 0.005, so every
+// one the scale-out plan moves opens a new bin past the ones the fleet was
+// sized for. The manager must allocate a host for every index a move
+// names; the run finishes with every publication delivered exactly once.
+TEST(ManagerPlanTest, ScaleOutPastPlacementCapAllocatesEveryNamedHost) {
+  auto config = chaos_config();
+  config.manager.policy.global_high = 0.008;
+  config.manager.policy.target = 0.005;
+  config.manager.policy.global_low = 0.003;
+  config.manager.policy.placement_cap = 0.005;
+  config.manager.policy.local_high = 10.0;
+  config.manager.policy.local_low = 0.0;
+  config.manager.policy.grace = seconds(3);
+  config.manager.policy.scale_out_grace = seconds(60);  // one scale-out
+  Testbed bed{config};
+  elastic::Manager& manager = *bed.manager();
+  auto driver = manager_load(bed, true);
+  bed.run_for(seconds(6) + millis(10));
+  driver->stop();
+  bed.run_for(seconds(15));
+  await_drain(bed);
+  EXPECT_FALSE(manager.plan_in_progress());
+  EXPECT_GE(manager.plans_executed(), 1u);
+  const auto audit = verify_exactly_once(bed);
+  EXPECT_TRUE(audit.exactly_once())
+      << "published=" << audit.published << " missing=" << audit.missing
+      << " duplicated=" << audit.duplicated
+      << " mismatched=" << audit.mismatched;
+}
 
 // A replacement policy's plan gets its protocols from the same place as the
 // built-in enforcer's: every move runs the strategy select_strategy derives

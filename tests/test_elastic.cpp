@@ -97,37 +97,34 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, SubsetSumProperty,
 TEST(FirstFit, PlacesHeaviestFirstUnderCap) {
   std::vector<SliceView> moving{slice(1, 9, 0.10), slice(2, 9, 0.30)};
   std::vector<HostView> bins{{HostId{1}, 0.25}, {HostId{2}, 0.10}};
-  std::size_t used = 0;
-  const auto moves = first_fit_place(moving, bins, 0.5, 0, &used);
+  const auto moves = first_fit_place(moving, bins, 0.5, 0);
   ASSERT_EQ(moves.size(), 2u);
   // Heaviest (slice 2, 0.30) first: host1 0.25+0.30 > 0.5 -> host2.
   EXPECT_EQ(moves[0].slice, SliceId{2});
   EXPECT_EQ(moves[0].dst, HostId{2});
   // slice 1 (0.10) fits on host1.
   EXPECT_EQ(moves[1].dst, HostId{1});
-  EXPECT_EQ(used, 0u);
+  EXPECT_EQ(new_hosts_of(moves), 0u);
 }
 
 TEST(FirstFit, SpillsToNewBins) {
   std::vector<SliceView> moving{slice(1, 9, 0.4), slice(2, 9, 0.4)};
   std::vector<HostView> bins{{HostId{1}, 0.45}};
-  std::size_t used = 0;
-  const auto moves = first_fit_place(moving, bins, 0.5, 2, &used);
+  const auto moves = first_fit_place(moving, bins, 0.5, 2);
   ASSERT_EQ(moves.size(), 2u);
   EXPECT_TRUE(moves[0].new_host_index.has_value());
   EXPECT_TRUE(moves[1].new_host_index.has_value());
   EXPECT_NE(*moves[0].new_host_index, *moves[1].new_host_index);
-  EXPECT_EQ(used, 2u);
+  EXPECT_EQ(new_hosts_of(moves), 2u);
 }
 
 TEST(FirstFit, OpensExtraBinWhenEverythingFull) {
   std::vector<SliceView> moving{slice(1, 9, 0.45)};
   std::vector<HostView> bins{{HostId{1}, 0.45}};
-  std::size_t used = 0;
-  const auto moves = first_fit_place(moving, bins, 0.5, 0, &used);
+  const auto moves = first_fit_place(moving, bins, 0.5, 0);
   ASSERT_EQ(moves.size(), 1u);
   ASSERT_TRUE(moves[0].new_host_index.has_value());
-  EXPECT_EQ(used, 1u);
+  EXPECT_EQ(new_hosts_of(moves), 1u);
 }
 
 // ---- policy rules ---------------------------------------------------------------
@@ -327,6 +324,24 @@ TEST(ThresholdEnforcer, IgnoresStateSizeDuringSelection) {
   const auto plan = enforcer.evaluate(view);
   ASSERT_FALSE(plan.moves.empty());
   EXPECT_EQ(plan.moves[0].slice, SliceId{1});  // huge state, moved anyway
+}
+
+// A slice above placement_cap fits no bin, so First Fit opens a new bin
+// past the `extra` ones the fleet was sized for, and those stay empty. The
+// plan must still count every new host a move names: the manager allocates
+// new hosts by index.
+TEST(Enforcer, ScaleOutNewHostsCoverEveryMoveIndex) {
+  PolicyConfig config;
+  config.placement_cap = 0.4;
+  Enforcer enforcer{config};
+  const auto plan = enforcer.evaluate(make_view(
+      seconds(60), {{HostId{1}, 1.0}}, {slice(1, 1, 0.5), slice(2, 1, 0.5)}));
+  ASSERT_EQ(plan.reason, MigrationPlan::Reason::kScaleOut);
+  ASSERT_FALSE(plan.moves.empty());
+  for (const auto& mv : plan.moves) {
+    ASSERT_TRUE(mv.new_host_index.has_value());
+    EXPECT_LT(*mv.new_host_index, plan.new_hosts);
+  }
 }
 
 TEST(Enforcer, ScaleOutSizesNewFleetTowardTarget) {

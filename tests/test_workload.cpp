@@ -452,17 +452,25 @@ TEST(OracleMatcher, StateBytesIndependentOfInsertionOrder) {
   EXPECT_EQ(a.buffer(), b.buffer());
 }
 
+// Each chunk reads its publications once, so with m_slices = 3 the 128
+// chunks of 60 publications, overlapping their neighbours by 40, release
+// every interior publication on its third read, racing with the other
+// threads' reads and inserts. A second pass then reads 5,120 further
+// publications once each: with the 80 edge publications still cached that
+// is more than the memo's 4,096-entry backstop, so it evicts under
+// contention too.
 TEST(MatchOracle, PartitionedMatchesSafeAcrossThreads) {
-  const OracleParams params = golden_params(0.3, 0.0);
+  OracleParams params = golden_params(0.3, 0.0);
+  params.m_slices = 3;
   const MatchOracle serial{params};
   const MatchOracle shared{params};
-  // 128 chunks of 60 publications, each overlapping its neighbours by 40:
-  // 2,600 distinct publications, more than the memo holds, so concurrent
-  // hits, misses, racing inserts and evictions all happen.
   constexpr std::size_t kChunks = 128;
+  constexpr std::uint64_t kBackstopBase = 10'000;
   std::vector<std::vector<std::shared_ptr<const MatchOracle::Partition>>>
       parallel(kChunks);
   std::vector<std::vector<std::vector<std::uint64_t>>> flat(kChunks);
+  std::vector<std::vector<std::shared_ptr<const MatchOracle::Partition>>>
+      backstop(kChunks);
   ThreadPool pool{4};
   pool.parallel_for(kChunks, [&](std::size_t chunk, std::size_t) {
     for (std::uint64_t p = chunk * 20 + 1; p <= chunk * 20 + 60; ++p) {
@@ -470,13 +478,82 @@ TEST(MatchOracle, PartitionedMatchesSafeAcrossThreads) {
       flat[chunk].push_back(shared.matches(PublicationId{p}));
     }
   });
+  // Without release every one of the 2,600 publications would be held.
+  EXPECT_LT(shared.memo_peak(), 2'600u);
+  pool.parallel_for(kChunks, [&](std::size_t chunk, std::size_t) {
+    for (std::uint64_t j = 0; j < 40; ++j) {
+      const PublicationId pub{kBackstopBase + chunk * 40 + j};
+      backstop[chunk].push_back(shared.partitioned_matches(pub));
+    }
+  });
+  EXPECT_EQ(shared.memo_peak(), 4'096u);
   for (std::size_t chunk = 0; chunk < kChunks; ++chunk) {
     for (std::size_t j = 0; j < 60; ++j) {
       const PublicationId pub{chunk * 20 + 1 + j};
       EXPECT_EQ(*parallel[chunk][j], *serial.partitioned_matches(pub));
       EXPECT_EQ(flat[chunk][j], serial.matches(pub));
     }
+    for (std::size_t j = 0; j < 40; ++j) {
+      const PublicationId pub{kBackstopBase + chunk * 40 + j};
+      EXPECT_EQ(*backstop[chunk][j], *serial.partitioned_matches(pub));
+    }
   }
+}
+
+// The elastic Fig. 9 surge shape: 16 M slices read the same stream, the
+// last one 3,000 publications behind the first. Every partition stays
+// cached until its last slice has read it, so each publication is sampled
+// exactly once.
+TEST(MatchOracle, LaggingSlicesDrawOneSamplePerPublication) {
+  const MatchOracle oracle{{.dimensions = 4, .total_subscriptions = 2'000,
+                            .matching_rate = 0.01, .m_slices = 16,
+                            .seed = 7}};
+  constexpr std::uint64_t kPubs = 5'000;
+  constexpr std::uint64_t kLagStep = 200;  // slice s trails slice 0 by s*200
+  for (std::uint64_t lead = 1; lead <= kPubs + 15 * kLagStep; ++lead) {
+    for (std::uint64_t s = 0; s < 16; ++s) {
+      const std::uint64_t lag = s * kLagStep;
+      if (lead > lag && lead - lag <= kPubs) {
+        (void)oracle.partitioned_matches(PublicationId{lead - lag});
+      }
+    }
+  }
+  EXPECT_EQ(oracle.samples_drawn(), kPubs);
+  EXPECT_EQ(oracle.memo_peak(), 15 * kLagStep + 1);
+}
+
+TEST(MatchOracle, ReadAfterReleaseResamplesEqualPartition) {
+  const MatchOracle oracle{{.dimensions = 4, .total_subscriptions = 5'000,
+                            .matching_rate = 0.02, .m_slices = 4, .seed = 5}};
+  const PublicationId pub{11};
+  const auto first = oracle.partitioned_matches(pub);
+  for (int read = 2; read <= 4; ++read) {
+    EXPECT_EQ(oracle.partitioned_matches(pub), first);  // the cached entry
+  }
+  EXPECT_EQ(oracle.samples_drawn(), 1u);
+  // The fourth read released the entry: the fifth samples afresh.
+  const auto again = oracle.partitioned_matches(pub);
+  EXPECT_EQ(oracle.samples_drawn(), 2u);
+  EXPECT_NE(again, first);
+  EXPECT_EQ(*again, *first);
+}
+
+// Publications read fewer than m_slices times are never released by reads;
+// the backstop keeps the memo at 4,096 entries by evicting the lowest id.
+TEST(MatchOracle, MemoBackstopEvictsLowestPublication) {
+  const MatchOracle oracle{{.dimensions = 4, .total_subscriptions = 2'000,
+                            .matching_rate = 0.01, .m_slices = 16,
+                            .seed = 7}};
+  for (std::uint64_t p = 1; p <= 5'000; ++p) {
+    (void)oracle.partitioned_matches(PublicationId{p});
+  }
+  EXPECT_EQ(oracle.memo_peak(), 4'096u);
+  EXPECT_EQ(oracle.samples_drawn(), 5'000u);
+  (void)oracle.partitioned_matches(PublicationId{5'000});  // still cached
+  EXPECT_EQ(oracle.samples_drawn(), 5'000u);
+  (void)oracle.partitioned_matches(PublicationId{1});  // evicted
+  EXPECT_EQ(oracle.samples_drawn(), 5'001u);
+  EXPECT_EQ(oracle.memo_peak(), 4'096u);
 }
 
 // ---- slice store ---------------------------------------------------------------
