@@ -2,10 +2,14 @@
 // testbed configurations and table printing.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "harness/testbed.hpp"
@@ -21,15 +25,43 @@ inline std::size_t& threads_flag() {
   return threads;
 }
 
-// Parses the common benchmark flags (--threads=N / --threads N). Unknown
-// arguments are left for the caller.
+// Largest accepted --threads value: far above any host's core count, and
+// small enough that a typo cannot start an unbounded number of OS threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
+// Parses a --threads value: a plain decimal integer in [1, kMaxThreads],
+// with no sign, whitespace or trailing characters. nullopt otherwise.
+inline std::optional<std::size_t> parse_threads(std::string_view text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || stop != end || value == 0 || value > kMaxThreads) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Parses the common benchmark flags (--threads=N / --threads N). An invalid
+// or missing thread count exits with status 2 before any pool is built.
+// Unknown arguments are left for the caller.
 inline void parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
+    const char* value = nullptr;
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_flag() = static_cast<std::size_t>(std::atoll(argv[i] + 10));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads_flag() = static_cast<std::size_t>(std::atoll(argv[++i]));
+      value = argv[i] + 10;
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      value = i + 1 < argc ? argv[++i] : "";
+    } else {
+      continue;
     }
+    const auto threads = parse_threads(value);
+    if (!threads) {
+      std::fprintf(stderr,
+                   "--threads expects an integer in [1, %zu], got '%s'\n",
+                   kMaxThreads, value);
+      std::exit(2);
+    }
+    threads_flag() = *threads;
   }
 }
 

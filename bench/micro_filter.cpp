@@ -2,8 +2,8 @@
 //  - real ASPE encryption and matching, sweeping the attribute count d to
 //    exhibit the O(d^2) per-operation cost the paper's workload analysis
 //    relies on (§VI-B);
-//  - plain-text matchers (brute force vs counting index) sweeping the
-//    number of stored subscriptions;
+//  - the plain-text brute-force matcher, sweeping the number of stored
+//    subscriptions;
 //  - the oracle matcher used by the cluster-scale experiments.
 //  - a batched-vs-scalar wall-clock sweep (--batch_sweep): pubs/sec per
 //    scheme per batch size, emitted as JSON, with the batched outcomes
@@ -116,11 +116,10 @@ void BM_AspeMatcherStore(benchmark::State& state) {
 }
 BENCHMARK(BM_AspeMatcherStore)->RangeMultiplier(4)->Range(64, 16384);
 
-template <typename MatcherT>
-void plain_matcher_bench(benchmark::State& state) {
+void BM_PlainBruteForce(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   workload::PlainWorkload gen{{4, 0.01, 3}};
-  MatcherT matcher;
+  filter::BruteForceMatcher matcher;
   for (std::uint64_t i = 0; i < n; ++i) {
     matcher.add(filter::AnySubscription{gen.subscription(i)});
   }
@@ -131,16 +130,7 @@ void plain_matcher_bench(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-
-void BM_PlainBruteForce(benchmark::State& state) {
-  plain_matcher_bench<filter::BruteForceMatcher>(state);
-}
 BENCHMARK(BM_PlainBruteForce)->RangeMultiplier(4)->Range(256, 65536);
-
-void BM_PlainCountingIndex(benchmark::State& state) {
-  plain_matcher_bench<filter::CountingIndexMatcher>(state);
-}
-BENCHMARK(BM_PlainCountingIndex)->RangeMultiplier(4)->Range(256, 65536);
 
 void BM_OracleMatcher(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
@@ -284,11 +274,8 @@ int run_batch_sweep() {
 
   workload::PlainWorkload plain_gen{{kDims, 0.01, 7}};
   filter::BruteForceMatcher brute;
-  filter::CountingIndexMatcher counting;
   for (std::size_t i = 0; i < kPlainSubs; ++i) {
-    const auto sub = plain_gen.subscription(i);
-    brute.add(filter::AnySubscription{sub});
-    counting.add(filter::AnySubscription{sub});
+    brute.add(filter::AnySubscription{plain_gen.subscription(i)});
   }
   std::vector<filter::AnyPublication> plain_pubs;
   for (std::size_t i = 0; i < kPlainPubs; ++i) {
@@ -310,8 +297,6 @@ int run_batch_sweep() {
               kDims);
   bool ok = true;
   ok &= sweep_scheme("plain-brute", brute, plain_pubs, batch_sizes, false);
-  ok &= sweep_scheme("plain-counting", counting, plain_pubs, batch_sizes,
-                     false);
   ok &= sweep_scheme("aspe", aspe, enc_pubs, batch_sizes, true);
   std::printf("  ]\n}\n");
   return ok ? 0 : 2;
@@ -396,11 +381,8 @@ int run_thread_sweep() {
 
   workload::PlainWorkload plain_gen{{kDims, 0.01, 7}};
   filter::BruteForceMatcher brute;
-  filter::CountingIndexMatcher counting;
   for (std::size_t i = 0; i < kPlainSubs; ++i) {
-    const auto sub = plain_gen.subscription(i);
-    brute.add(filter::AnySubscription{sub});
-    counting.add(filter::AnySubscription{sub});
+    brute.add(filter::AnySubscription{plain_gen.subscription(i)});
   }
   std::vector<filter::AnyPublication> plain_pubs;
   for (std::size_t i = 0; i < kPubs; ++i) {
@@ -424,8 +406,6 @@ int run_thread_sweep() {
   bool ok = true;
   ok &= thread_sweep_scheme("plain-brute", brute, plain_pubs, thread_counts,
                             batch_sizes, false);
-  ok &= thread_sweep_scheme("plain-counting", counting, plain_pubs,
-                            thread_counts, batch_sizes, false);
   ok &= thread_sweep_scheme("aspe", aspe, enc_pubs, thread_counts,
                             batch_sizes, true);
   std::printf("  ]\n}\n");

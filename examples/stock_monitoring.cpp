@@ -15,7 +15,7 @@
 #include "cluster/host.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
-#include "filter/matcher.hpp"
+#include "filter/interval_index.hpp"
 #include "net/network.hpp"
 #include "pubsub/streamhub.hpp"
 #include "sim/simulator.hpp"
@@ -41,7 +41,7 @@ int main() {
   params.ep_slices = 2;
   params.sink_slices = 1;
   params.matcher_factory = [](std::size_t) {
-    return std::make_unique<filter::CountingIndexMatcher>();
+    return std::make_unique<filter::IntervalIndexMatcher>();
   };
   pubsub::StreamHub hub{engine, params};
   std::vector<HostId> workers{HostId{2}, HostId{3}, HostId{4}};

@@ -12,7 +12,8 @@
 #                    channel, adversarial network, recovery contracts,
 #                    reconfiguration golden pin and request order,
 #                    self-healing recovery and drain, manager golden pin
-#                    and manager plan tests)
+#                    and manager plan tests, the worker pool and the
+#                    pooled matchers)
 #                    under -DESH_CHECK_INVARIANTS=ON, then again under
 #                    ASan and TSan via scripts/run_sanitized.sh
 #   ci.sh analysis   bounded model checking of the migration/split/merge/
@@ -63,10 +64,12 @@ stage_lint() {
 # and torture suites, the reconfiguration coordinator's golden pin and
 # request-order tests, the manager's self-healing (recovery and drain)
 # tests, golden pin and plan tests, the reliable control channel, the
-# adversarial network tests, the interval-index determinism tests, and the
-# match-oracle tests (its memo is shared across pool threads) must pass with
-# every invariant live, and stay clean under ASan and TSan.
-CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|Reconfig|SelfHealing|ManagerGolden|ManagerPlan'
+# adversarial network tests, the interval-index determinism tests, the
+# match-oracle tests (its memo is shared across pool threads), the worker
+# pool's own tests (ThreadPoolTest, ThreadPoolStressTest) and the pooled
+# match_batch determinism tests of every matcher (ParallelMatch*) must pass
+# with every invariant live, and stay clean under ASan and TSan.
+CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|Reconfig|SelfHealing|ManagerGolden|ManagerPlan|ThreadPool|ParallelMatch'
 
 stage_chaos() {
   local dir=${BUILD_DIR:-build-ci-chaos}

@@ -284,7 +284,7 @@ TEST(MultiScheme, PlainAndEncryptedOperatorsCoexist) {
   plain_scheme.slices = 2;
   plain_scheme.encrypted = false;
   plain_scheme.factory = [](std::size_t) {
-    return std::make_unique<filter::CountingIndexMatcher>();
+    return std::make_unique<filter::IntervalIndexMatcher>();
   };
   MatcherSchemeSpec enc_scheme;
   enc_scheme.op_name = "M-aspe";
